@@ -3,6 +3,7 @@ package analysis
 import (
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,8 +26,22 @@ var fixtureCases = []struct {
 	{KeycoverAnalyzer, "keycover", "tlacache/internal/keycover"},
 	{ExhaustiveAnalyzer, "exhaustive", "tlacache/internal/exhaustive"},
 	{ResetcoverAnalyzer, "resetcover", "tlacache/internal/resetcover"},
-	{GatecoverAnalyzer, "gatecover", "tlacache/internal/gatecover"},
-	{LLCWriteAnalyzer, "llcwrite", "tlacache/internal/llcwrite"},
+}
+
+// TestFixtureCasesCoverRegistry keeps the fixture table and the
+// registry in step: every registered check has exactly one golden
+// fixture, and no fixture names a check that is no longer registered.
+func TestFixtureCasesCoverRegistry(t *testing.T) {
+	var registered, fixtures []string
+	for _, a := range Analyzers() {
+		registered = append(registered, a.Name)
+	}
+	for _, tc := range fixtureCases {
+		fixtures = append(fixtures, tc.analyzer.Name)
+	}
+	if !slices.Equal(registered, fixtures) {
+		t.Errorf("fixture table %v does not match the registry %v", fixtures, registered)
+	}
 }
 
 // TestGoldenFixtures checks every analyzer against its fixture: each

@@ -56,9 +56,8 @@ const (
 	directiveResetexempt = "//tlavet:resetexempt"
 )
 
-// scField is one struct field as seen at its declaration, for the
-// state-coverage provers (resetcover, gatecover). Embedded fields are
-// included under their implicit name.
+// scField is one struct field as seen at its declaration, for
+// resetcover. Embedded fields are included under their implicit name.
 type scField struct {
 	name      string
 	pos       token.Pos
@@ -67,12 +66,6 @@ type scField struct {
 	// structKey is the tracked-type key of the field's (unwrapped)
 	// struct type when it is declared in this module, else "".
 	structKey string
-	// indirect marks a field whose declared type reaches its struct
-	// through a pointer. Gatecover stops tracked expansion at indirect
-	// fields: a gate examines such a field as a reference (typically a
-	// nil check) and never owes anything to the pointed-to contents.
-	// Resetcover still chases them — pointed-to state must be restored.
-	indirect bool
 }
 
 // scType is one module-declared struct type, keyed like kcType by
@@ -84,9 +77,9 @@ type scType struct {
 }
 
 // collectCoverIndex indexes every struct type declared in the module,
-// reading the given field-exemption directive at each declaration.
+// reading the //tlavet:resetexempt directive at each declaration.
 // Reasonless exemptions are reported and exempt nothing.
-func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scType {
+func collectCoverIndex(mp *ModulePass) map[string]*scType {
 	m := mp.Module
 	modulePkgs := modulePackageSet(m)
 	structs := make(map[string]*scType)
@@ -111,12 +104,10 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 						display: pkg.Types.Name() + "." + ts.Name.Name,
 					}
 					for _, field := range st.Fields.List {
-						exempt, exemptPos := scFieldExemption(mp, field, exemptDirective)
+						exempt, exemptPos := scFieldExemption(mp, field)
 						var structKey string
-						var indirect bool
 						if t, ok := pkg.TypeOfExpr(field.Type); ok {
 							structKey = structKeyOf(t, modulePkgs)
-							_, indirect = t.Underlying().(*types.Pointer)
 						}
 						if len(field.Names) == 0 {
 							// Embedded field: named after its (unwrapped) type.
@@ -127,7 +118,7 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 							kt.fields = append(kt.fields, &scField{
 								name: name, pos: field.Type.Pos(),
 								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey, indirect: indirect,
+								structKey: structKey,
 							})
 							continue
 						}
@@ -135,7 +126,7 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 							kt.fields = append(kt.fields, &scField{
 								name: name.Name, pos: name.Pos(),
 								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey, indirect: indirect,
+								structKey: structKey,
 							})
 						}
 					}
@@ -147,22 +138,21 @@ func collectCoverIndex(mp *ModulePass, exemptDirective string) map[string]*scTyp
 	return structs
 }
 
-// scFieldExemption scans a field's doc and line comments for the given
-// `//tlavet:<check>exempt <reason>` directive.
-func scFieldExemption(mp *ModulePass, field *ast.Field, directive string) (bool, token.Pos) {
-	short := strings.TrimPrefix(directive, "//tlavet:")
+// scFieldExemption scans a field's doc and line comments for a
+// `//tlavet:resetexempt <reason>` directive.
+func scFieldExemption(mp *ModulePass, field *ast.Field) (bool, token.Pos) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if cg == nil {
 			continue
 		}
 		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directive)
+			rest, ok := strings.CutPrefix(c.Text, directiveResetexempt)
 			if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
 				continue
 			}
 			if len(strings.Fields(rest)) == 0 {
-				mp.Report(field.Pos(), short+" directive has no reason",
-					"write "+directive+" <reason> so exemptions stay auditable", nil)
+				mp.Report(field.Pos(), "resetexempt directive has no reason",
+					"write "+directiveResetexempt+" <reason> so exemptions stay auditable", nil)
 				continue
 			}
 			return true, c.Pos()
@@ -273,7 +263,7 @@ func (w *rcWrites) markWholesaleType(structs map[string]*scType, key string) {
 func runResetcover(mp *ModulePass) {
 	m := mp.Module
 	modulePkgs := modulePackageSet(m)
-	structs := collectCoverIndex(mp, directiveResetexempt)
+	structs := collectCoverIndex(mp)
 	g := buildCallGraph(m)
 
 	roots := g.annotatedRoots(directiveResetcover)

@@ -68,15 +68,13 @@ func TestKeyCanonicalGolden(t *testing.T) {
 func TestKeyCoversConfig(t *testing.T) {
 	// sim.Config exclusions: Probe, Sampler, DecisionTracer,
 	// InvariantEvery, AuditEvery — observers that cannot change
-	// results — and Epoch, the interleave burst length, which is
-	// result-invariant by construction (TestEpochInvariance pins
-	// Epoch=1 against the default byte-for-byte).
+	// results.
 	for _, tc := range []struct {
 		name   string
 		typ    reflect.Type
 		fields int
 	}{
-		{"sim.Config", reflect.TypeOf(sim.Config{}), 11},
+		{"sim.Config", reflect.TypeOf(sim.Config{}), 10},
 		{"hierarchy.Config", reflect.TypeOf(hierarchy.Config{}), 29},
 		{"hierarchy.Latencies", reflect.TypeOf(hierarchy.Latencies{}), 4},
 		{"cpu.Config", reflect.TypeOf(cpu.Config{}), 3},

@@ -109,7 +109,6 @@ func releaseMachine(m *machine) {
 	}
 	m.h.SetProbe(nil)
 	m.h.SetDecisionTracer(nil)
-	m.h.SetLLCOpSink(nil)
 	machinePool.Lock()
 	if s := machinePool.free[m.key]; len(s) < maxFree {
 		machinePool.free[m.key] = append(s, m)

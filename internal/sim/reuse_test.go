@@ -82,7 +82,7 @@ func runOn(t *testing.T, cfg Config, m *machine) []byte {
 		}
 		streams[i] = g
 	}
-	if err := runMachine(cfg, m, streams); err != nil {
+	if err := runMachine(cfg, m, streams, defaultEpoch); err != nil {
 		t.Fatal(err)
 	}
 	out := struct {
@@ -174,7 +174,6 @@ func TestPooledRunRepeatability(t *testing.T) {
 func epochManifest(t *testing.T, epoch uint64) []byte {
 	t.Helper()
 	cfg := quickConfig(2, 30_000)
-	cfg.Epoch = epoch
 	cfg.Hierarchy.TLA = hierarchy.TLAQBS
 	// Deliberately awkward divisors so boundaries land mid-epoch.
 	cfg.InvariantEvery = 7_001
@@ -182,7 +181,17 @@ func epochManifest(t *testing.T, epoch uint64) []byte {
 	sampler := telemetry.NewSampler(5_003)
 	cfg.Sampler = sampler
 
-	res, err := RunMix(cfg, workload.Mix{Name: "EPOCH", Apps: []string{"sje", "lib"}})
+	bs, err := workload.Mix{Name: "EPOCH", Apps: []string{"sje", "lib"}}.Benchmarks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]trace.Generator, len(bs))
+	for i, b := range bs {
+		if streams[i], err = b.NewGenerator(cfg.Seed + uint64(i)*0x9e37); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := runGenerators(cfg, streams, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +209,15 @@ func epochManifest(t *testing.T, epoch uint64) []byte {
 
 // TestEpochInvariance enforces the epoch-batching correctness argument:
 // the interleave burst length is a pure execution-efficiency knob, so
-// per-instruction bookkeeping (Epoch=1), the default burst, and a burst
-// longer than the whole run must all produce byte-identical results and
-// sampler time series.
+// per-instruction bookkeeping (a burst of 1), the default burst, and a
+// burst longer than the whole run must all produce byte-identical
+// results and sampler time series.
 func TestEpochInvariance(t *testing.T) {
 	ref := epochManifest(t, 1)
-	for _, epoch := range []uint64{0, 64, 1024, 1 << 40} {
+	for _, epoch := range []uint64{defaultEpoch, 64, 1024, 1 << 40} {
 		got := epochManifest(t, epoch)
 		if !bytes.Equal(ref, got) {
-			t.Errorf("Epoch=%d diverges from Epoch=1:\n--- epoch 1 ---\n%s\n--- epoch %d ---\n%s",
+			t.Errorf("epoch %d diverges from epoch 1:\n--- epoch 1 ---\n%s\n--- epoch %d ---\n%s",
 				epoch, ref, epoch, got)
 		}
 	}

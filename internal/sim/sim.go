@@ -25,28 +25,22 @@ const coreSpacing = uint64(1) << 46
 // Config parameterises a simulation run.
 type Config struct {
 	Hierarchy hierarchy.Config
-	//tlavet:gateexempt core timing model is identical in sharded and interleaved runs; orthogonal to LLC partitioning
-	CPU cpu.Config
+	CPU       cpu.Config
 	// Instructions is the per-core measurement budget (the paper uses
 	// 250M per PinPoint; experiments here default to a few million —
 	// the working sets are identical, only the measurement window
 	// shrinks).
-	//
-	//tlavet:gateexempt any budget shards faithfully; the capture phase runs the same per-core budget
 	Instructions uint64
 	// Warmup instructions run per core before statistics are cleared
 	// and measurement begins. Cache and prefetcher state carries over;
 	// only counters reset. A warmup of at least ~1M instructions lets
 	// the 2MB LLC fill and reach replacement steady state, which the
 	// paper's 250M-instruction runs get implicitly.
-	//
-	//tlavet:gateexempt warmup length only moves the measurement boundary; sharded replay preserves it exactly
 	Warmup uint64
 	// Seed diversifies the synthetic streams; a mix is reproducible
 	// given (Config, Mix).
 	//
 	//tlavet:keyexempt hashed via service.Key's explicit seed argument, which overrides this field
-	//tlavet:gateexempt any seed shards faithfully; streams are regenerated identically in the capture phase
 	Seed uint64
 	// InvariantEvery, when positive, verifies the hierarchy's
 	// structural invariants (inclusion, exclusion, directory coverage)
@@ -97,25 +91,19 @@ type Config struct {
 	//
 	//tlavet:keyexempt pure observer; never changes simulation results
 	Sampler *telemetry.Sampler
-	// Epoch, when positive, overrides the interleave burst length: the
-	// scheduled core executes up to Epoch instructions before the loop
-	// returns to its per-burst bookkeeping (statistics boundaries,
-	// min-cycle bookkeeping). Zero selects defaultEpoch. Every value
-	// produces bit-identical results — bursts break the moment the
-	// running core's clock passes the runner-up and are capped at every
-	// statistics boundary (see the correctness argument at run's burst
-	// sizing, and DESIGN.md §14); TestEpochInvariance pins Epoch=1
-	// against the default byte-for-byte.
-	//
-	//tlavet:keyexempt result-invariant batching knob; every epoch yields byte-identical manifests (TestEpochInvariance)
-	//tlavet:gateexempt result-invariant batching knob; burst sizing never changes what a faithful run produces
-	Epoch uint64
 }
 
-// defaultEpoch is the interleave burst length when Config.Epoch is
-// zero: long enough to amortise the per-burst boundary arithmetic to
-// noise, short enough that burst sizing stays irrelevant next to the
-// cycle-driven burst breaks that dominate multi-core interleaving.
+// defaultEpoch is the interleave burst length: the scheduled core
+// executes up to this many instructions before the loop returns to its
+// per-burst bookkeeping (statistics boundaries, min-cycle bookkeeping).
+// It is long enough to amortise the per-burst boundary arithmetic to
+// noise, and short enough that burst sizing stays irrelevant next to
+// the cycle-driven burst breaks that dominate multi-core interleaving.
+// Every burst length produces bit-identical results — bursts break the
+// moment the running core's clock passes the runner-up and are capped
+// at every statistics boundary (see the correctness argument at run's
+// burst sizing, and DESIGN.md §14); TestEpochInvariance pins a burst of
+// 1 against this one byte-for-byte.
 const defaultEpoch = 64
 
 // DefaultConfig is the paper's baseline machine for the given core
@@ -239,11 +227,17 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 // Each stream is shifted into a private per-core address space first,
 // matching the paper's multi-programmed (no sharing) methodology.
 func RunGenerators(cfg Config, streams []trace.Generator) (MixResult, error) {
+	return runGenerators(cfg, streams, defaultEpoch)
+}
+
+// runGenerators is RunGenerators with an explicit interleave burst
+// length, so tests can vary the burst without a shared knob.
+func runGenerators(cfg Config, streams []trace.Generator, epoch uint64) (MixResult, error) {
 	m, err := checkedMachine(cfg, streams)
 	if err != nil {
 		return MixResult{}, err
 	}
-	if err := runMachine(cfg, m, streams); err != nil {
+	if err := runMachine(cfg, m, streams, epoch); err != nil {
 		return MixResult{}, err
 	}
 	n := cfg.Hierarchy.Cores
@@ -282,11 +276,12 @@ func checkedMachine(cfg Config, streams []trace.Generator) (*machine, error) {
 }
 
 // runMachine executes one full run — warmup, counter reset, measured
-// window — on an acquired machine, leaving each core's frozen window in
+// window — on an acquired machine, interleaving the cores in bursts of
+// at most epoch instructions, leaving each core's frozen window in
 // m.apps and the global message accounting in m.h.Traffic. The caller
 // owns the machine: it releases it after copying the results out on
 // success, and abandons it to the garbage collector on error.
-func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
+func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64) error {
 	h := m.h
 	n := cfg.Hierarchy.Cores
 	// Concrete *offsetGen slice: the per-instruction Next call in the
@@ -303,10 +298,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator) error {
 		committed[i], finished[i] = 0, false
 	}
 	hitLat := cfg.Hierarchy.Latency.L1
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = defaultEpoch
-	}
 
 	// Telemetry attaches after the warmup reset (see below), so during
 	// warmup both stay disabled. llcLines scales occupancy samples.
@@ -528,7 +519,7 @@ func RunIsolation(cfg Config, b workload.Benchmark) (AppResult, error) {
 		releaseSynthetic(g)
 		return AppResult{}, err
 	}
-	if err := runMachine(iso, m, streams[:]); err != nil {
+	if err := runMachine(iso, m, streams[:], defaultEpoch); err != nil {
 		releaseSynthetic(g)
 		return AppResult{}, err
 	}
