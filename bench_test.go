@@ -159,28 +159,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures what instrumentation costs on a
-// QBS run (the policy with the most probe sites): "off" is the
-// nil-probe fast path every uninstrumented run takes, "recorder" adds
-// the event probe, and "recorder+sampler" adds the interval sampler on
-// top. "off" is the configuration the <2% regression budget guards.
+// QBS run (the policy with the most event work): "off" is the path
+// every uninstrumented run takes — the always-on hierarchy statistics
+// the telemetry summary derives from included — and "sampler" adds the
+// interval sampler. "off" is the configuration the <2% regression
+// budget guards.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	base := sim.DefaultConfig(2)
 	base.Instructions = 100_000
 	base.Warmup = 0
 	base.Hierarchy.TLA = hierarchy.TLAQBS
 	mix := workload.Mix{Name: "BENCH", Apps: []string{"sje", "lib"}}
-	for _, mode := range []string{"off", "recorder", "recorder+sampler"} {
+	for _, mode := range []string{"off", "sampler"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg := base
-				switch mode {
-				case "recorder":
-					cfg.Probe = telemetry.NewRecorder()
-				case "recorder+sampler":
-					cfg.Probe = telemetry.NewRecorder()
+				if mode == "sampler" {
 					cfg.Sampler = telemetry.NewSampler(10_000)
 				}
 				if _, err := sim.RunMix(cfg, mix); err != nil {

@@ -155,8 +155,8 @@ func main() {
 	}
 
 	// One job per policy; a single policy degenerates to one job. When
-	// -interval is set, every job gets its own sampler and recorder so
-	// parallel comparison runs never share telemetry state.
+	// -interval is set, every job gets its own sampler so parallel
+	// comparison runs never share telemetry state.
 	type outcome struct {
 		Policy    string             `json:"policy"`
 		Config    sim.Config         `json:"-"`
@@ -214,16 +214,6 @@ func main() {
 						}
 					}()
 				}
-				// The audit mode needs a recorder attached so its
-				// probe/traffic cross-checks have counts to compare.
-				if *interval > 0 || *audit > 0 {
-					rec := telemetry.NewRecorder()
-					cfg.Probe = rec
-					defer func() {
-						s := rec.Summary()
-						out.Telemetry = &s
-					}()
-				}
 				if makeStreams != nil {
 					var streams []trace.Generator
 					if streams, err = makeStreams(); err != nil {
@@ -235,6 +225,10 @@ func main() {
 				}
 				if err != nil {
 					return out, fmt.Errorf("policy %s: %w", p, err)
+				}
+				if *interval > 0 || *audit > 0 {
+					s := out.Result.Telemetry()
+					out.Telemetry = &s
 				}
 				return out, nil
 			},
@@ -393,7 +387,7 @@ func profileFactory(paths []string, seed uint64) (func() ([]trace.Generator, err
 	}, len(paths), nil
 }
 
-// telemetryReport prints the probe summary collected alongside a run:
+// telemetryReport prints the telemetry summary derived from a run:
 // event counts plus the QBS query-depth and ECI rescue-distance
 // histograms when the policy produced them.
 func telemetryReport(s telemetry.Summary) {

@@ -6,9 +6,9 @@
 //	nondeterminism     no wall clocks (Now/Since/Until), math/rand (under
 //	                   any alias), state-mutating map iteration, or
 //	                   sync.Map iteration in simulation packages
-//	probeguard         telemetry probe calls dominated by nil checks
+//	probeguard         decision-tracer calls dominated by nil checks
 //	panicmsg           package-prefixed panics, no bare panic(err)
-//	counterdiscipline  Traffic/Recorder counters only ever incremented
+//	counterdiscipline  Traffic/TLAStats counters only ever incremented
 //	floatcmp           no ==/!= on floats in metrics/experiments
 //	hotpath            no heap allocation reachable from //tlavet:hotpath
 //	                   roots (interprocedural, call chains in findings)

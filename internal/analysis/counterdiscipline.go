@@ -7,16 +7,17 @@ import (
 )
 
 // CounterDisciplineAnalyzer keeps the evaluation's counters honest:
-// the paper's figures are computed from Traffic and Recorder counters,
-// which are only trustworthy if they are monotone — event counts can
-// only grow during a run. Counter fields (uint64 fields, and arrays of
-// them) may therefore only be incremented (++/+=); plain assignment or
-// decrement outside a Reset method is a bug that silently corrupts
-// results. Whole-struct resets (h.Traffic = Traffic{}) stay legal
-// because they name the struct, not a counter.
+// the paper's figures and the run telemetry summaries are computed
+// from Traffic and TLAStats counters, which are only trustworthy if
+// they are monotone — event counts can only grow during a run. Counter
+// fields (uint64 fields, and arrays of them) may therefore only be
+// incremented (++/+=); plain assignment or decrement outside a Reset
+// method is a bug that silently corrupts results. Whole-struct resets
+// (h.Traffic = Traffic{}) stay legal because they name the struct, not
+// a counter.
 var CounterDisciplineAnalyzer = &Analyzer{
 	Name: "counterdiscipline",
-	Doc:  "Traffic/Recorder counter fields may only be incremented (++/+=) outside Reset",
+	Doc:  "Traffic/TLAStats counter fields may only be incremented (++/+=) outside Reset",
 	Help: "Conserved event counters are append-only evidence: decrementing or " +
 		"overwriting one outside a Reset method silently unbalances the " +
 		"traffic invariants the auditor checks. Use ++/+= for event counts " +
@@ -26,7 +27,7 @@ var CounterDisciplineAnalyzer = &Analyzer{
 }
 
 // counterOwners names the types whose uint64 fields are event counters.
-var counterOwners = map[string]bool{"Traffic": true, "Recorder": true}
+var counterOwners = map[string]bool{"Traffic": true, "TLAStats": true}
 
 func runCounterDiscipline(pass *Pass) {
 	walkWithStack(pass.Pkg, func(n ast.Node, stack []ast.Node) {
@@ -47,7 +48,7 @@ func runCounterDiscipline(pass *Pass) {
 }
 
 // checkCounterWrite reports lhs when it names a counter field of a
-// Traffic/Recorder value and the write is not inside a Reset method.
+// Traffic/TLAStats value and the write is not inside a Reset method.
 func checkCounterWrite(pass *Pass, lhs ast.Expr, op string, stack []ast.Node) {
 	field, owner := counterField(pass, lhs)
 	if field == "" {

@@ -8,18 +8,18 @@ import (
 )
 
 // ProbeGuardAnalyzer enforces the telemetry layer's cost contract:
-// observer methods (the event probe and the decision tracer) fire on
-// hot simulation paths, so every call must be dominated by a nil check
-// of the observer — the single-branch guard that makes the disabled
-// (nil-observer) configuration effectively free. An unguarded call
-// both panics when telemetry is off and signals that a new fire site
-// skipped the guard convention.
+// the LLC decision tracer fires on the hot eviction path, so every
+// call must be dominated by a nil check of the tracer — the
+// single-branch guard that makes the disabled (nil-tracer)
+// configuration effectively free. An unguarded call both panics when
+// tracing is off and signals that a new fire site skipped the guard
+// convention.
 var ProbeGuardAnalyzer = &Analyzer{
 	Name: "probeguard",
-	Doc:  "telemetry observer calls (Probe, DecisionTracer) must be dominated by a nil check",
-	Help: "Probes and tracers are optional observers; calling one unguarded " +
-		"turns \"observability off\" into a nil-pointer crash. Dominate every " +
-		"observer call with an explicit nil check.",
+	Doc:  "telemetry DecisionTracer calls must be dominated by a nil check",
+	Help: "The decision tracer is an optional observer; calling it unguarded " +
+		"turns \"tracing off\" into a nil-pointer crash. Dominate every " +
+		"tracer call with an explicit nil check.",
 	Default: true,
 	Run:     runProbeGuard,
 }
@@ -28,8 +28,8 @@ var ProbeGuardAnalyzer = &Analyzer{
 // protects; probeFields is the field-name fallback when type
 // information is unavailable.
 var (
-	probeInterfaces = map[string]bool{"Probe": true, "DecisionTracer": true}
-	probeFields     = map[string]bool{"probe": true, "Probe": true, "tracer": true, "Tracer": true}
+	probeInterfaces = map[string]bool{"DecisionTracer": true}
+	probeFields     = map[string]bool{"tracer": true, "Tracer": true}
 )
 
 func runProbeGuard(pass *Pass) {
@@ -50,7 +50,7 @@ func runProbeGuard(pass *Pass) {
 			return
 		}
 		pass.Report(call.Pos(),
-			"probe method "+types.ExprString(recv)+"."+sel.Sel.Name+" called without a dominating nil check",
+			"observer method "+types.ExprString(recv)+"."+sel.Sel.Name+" called without a dominating nil check",
 			"guard the call: if "+types.ExprString(recv)+" != nil { ... }")
 	})
 }

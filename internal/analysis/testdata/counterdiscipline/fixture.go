@@ -1,6 +1,6 @@
 // Package flux is a golden fixture for the counterdiscipline analyzer:
 // uint64 (and array-of-uint64) fields of types named Traffic or
-// Recorder are event counters and may only grow outside Reset.
+// TLAStats are event counters and may only grow outside Reset.
 package flux
 
 // Traffic mirrors the simulator's event-counter struct shape.
@@ -10,34 +10,38 @@ type Traffic struct {
 	Label  string
 }
 
-// Recorder mirrors the telemetry recorder: an array of counters plus
-// non-counter bookkeeping.
-type Recorder struct {
-	counts [4]uint64
-	open   int
+// TLAStats mirrors the hierarchy's TLA statistics: a counter, an array
+// of counters, and non-counter bookkeeping.
+type TLAStats struct {
+	Rescues uint64
+	buckets [4]uint64
+	open    int
 }
 
-// Hierarchy embeds a Traffic block the way the simulator does.
+// Hierarchy embeds the counter blocks the way the simulator does.
 type Hierarchy struct {
 	Traffic Traffic
+	TLA     TLAStats
 }
 
 // Observe shows the allowed writes: increments, add-assigns, and
 // assignments to non-counter fields.
-func Observe(t *Traffic, r *Recorder) {
+func Observe(t *Traffic, s *TLAStats) {
 	t.Hits++
 	t.Misses += 2
-	r.counts[1]++
-	r.open = 3
+	s.Rescues++
+	s.buckets[1]++
+	s.open = 3
 	t.Label = "warm"
 }
 
 // Corrupt shows every forbidden shape.
-func Corrupt(t *Traffic, r *Recorder) {
-	t.Hits = 0      // want `counter Traffic\.Hits modified with = outside Reset`
-	t.Misses--      // want `counter Traffic\.Misses modified with -- outside Reset`
-	t.Hits -= 1     // want `counter Traffic\.Hits modified with -= outside Reset`
-	r.counts[2] = 9 // want `counter Recorder\.counts modified with = outside Reset`
+func Corrupt(t *Traffic, s *TLAStats) {
+	t.Hits = 0       // want `counter Traffic\.Hits modified with = outside Reset`
+	t.Misses--       // want `counter Traffic\.Misses modified with -- outside Reset`
+	t.Hits -= 1      // want `counter Traffic\.Hits modified with -= outside Reset`
+	s.buckets[2] = 9 // want `counter TLAStats\.buckets modified with = outside Reset`
+	s.Rescues--      // want `counter TLAStats\.Rescues modified with -- outside Reset`
 }
 
 // Reset may zero counters: it is the sanctioned reset point.
@@ -46,8 +50,9 @@ func (t *Traffic) Reset() {
 	t.Misses = 0
 }
 
-// Swap replaces the whole block, which stays legal: the assignment
-// names the struct, not a counter field.
+// Swap replaces the whole blocks, which stays legal: the assignments
+// name the structs, not counter fields.
 func (h *Hierarchy) Swap() {
 	h.Traffic = Traffic{}
+	h.TLA = TLAStats{}
 }

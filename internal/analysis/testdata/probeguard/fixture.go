@@ -1,95 +1,70 @@
 // Package telemetry is a golden fixture for the probeguard analyzer.
-// Its import path ends in "telemetry", so the local Probe interface
-// counts as the telemetry probe type the analyzer protects.
+// Its import path ends in "telemetry", so the local DecisionTracer
+// interface counts as the telemetry observer type the analyzer
+// protects.
 package telemetry
 
-// Probe is the fixture's stand-in for the event-probe interface.
-type Probe interface {
-	Hit(addr uint64)
-	Miss(addr uint64)
-}
-
-// Hierarchy owns an optional probe, nil when telemetry is off.
-type Hierarchy struct {
-	probe Probe
-	hot   bool
-}
-
-// Guarded shows the canonical accepted shapes: a plain nil check and a
-// compound condition reached through &&.
-func (h *Hierarchy) Guarded(addr uint64) {
-	if h.probe != nil {
-		h.probe.Hit(addr)
-	}
-	if h.probe != nil && h.hot {
-		h.probe.Miss(addr)
-	}
-}
-
-// EarlyReturn is accepted: the nil case exits the block first.
-func (h *Hierarchy) EarlyReturn(addr uint64) {
-	if h.probe == nil {
-		return
-	}
-	h.probe.Hit(addr)
-}
-
-// Unguarded fires the probe with no dominating nil check.
-func (h *Hierarchy) Unguarded(addr uint64) {
-	h.probe.Hit(addr) // want `h\.probe\.Hit called without a dominating nil check`
-}
-
-// WrongBranch checks the probe but calls it outside the guarded body.
-func (h *Hierarchy) WrongBranch(addr uint64) {
-	if h.probe != nil {
-		h.hot = true
-	}
-	h.probe.Miss(addr) // want `h\.probe\.Miss called without a dominating nil check`
-}
-
-// Closure is flagged: a guard outside a function literal does not
-// dominate calls inside it (the literal may run after the probe is
-// cleared).
-func (h *Hierarchy) Closure(addr uint64) func() {
-	if h.probe == nil {
-		return nil
-	}
-	return func() {
-		h.probe.Hit(addr) // want `h\.probe\.Hit called without a dominating nil check`
-	}
-}
-
 // DecisionTracer is the fixture's stand-in for the LLC victim-decision
-// tracer interface; as a named telemetry interface it gets the same
-// guard treatment as Probe.
+// tracer interface.
 type DecisionTracer interface {
 	Decision(seq uint64)
+	Flush()
 }
 
 // Machine owns an optional decision tracer, nil when tracing is off.
 type Machine struct {
 	tracer DecisionTracer
+	hot    bool
 }
 
-// TracedEviction shows the accepted shapes for tracer fire sites.
-func (m *Machine) TracedEviction(seq uint64) {
+// Guarded shows the canonical accepted shapes: a plain nil check and a
+// compound condition reached through &&.
+func (m *Machine) Guarded(seq uint64) {
 	if m.tracer != nil {
 		m.tracer.Decision(seq)
 	}
+	if m.tracer != nil && m.hot {
+		m.tracer.Flush()
+	}
+}
+
+// EarlyReturn is accepted: the nil case exits the block first.
+func (m *Machine) EarlyReturn(seq uint64) {
 	if m.tracer == nil {
 		return
 	}
 	m.tracer.Decision(seq)
 }
 
-// UnguardedEviction fires the tracer with no dominating nil check.
-func (m *Machine) UnguardedEviction(seq uint64) {
+// Unguarded fires the tracer with no dominating nil check.
+func (m *Machine) Unguarded(seq uint64) {
 	m.tracer.Decision(seq) // want `m\.tracer\.Decision called without a dominating nil check`
 }
 
-// GuardWrongObserver checks the probe but fires the tracer.
-func (m *Machine) GuardWrongObserver(h *Hierarchy, seq uint64) {
-	if h.probe != nil {
+// WrongBranch checks the tracer but calls it outside the guarded body.
+func (m *Machine) WrongBranch() {
+	if m.tracer != nil {
+		m.hot = true
+	}
+	m.tracer.Flush() // want `m\.tracer\.Flush called without a dominating nil check`
+}
+
+// Closure is flagged: a guard outside a function literal does not
+// dominate calls inside it (the literal may run after the tracer is
+// cleared).
+func (m *Machine) Closure(seq uint64) func() {
+	if m.tracer == nil {
+		return nil
+	}
+	return func() {
+		m.tracer.Decision(seq) // want `m\.tracer\.Decision called without a dominating nil check`
+	}
+}
+
+// GuardWrongObserver checks another machine's tracer but fires its
+// own.
+func (m *Machine) GuardWrongObserver(other *Machine, seq uint64) {
+	if other.tracer != nil {
 		m.tracer.Decision(seq) // want `m\.tracer\.Decision called without a dominating nil check`
 	}
 }

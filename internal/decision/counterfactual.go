@@ -43,7 +43,7 @@ type Counterfactual struct {
 // the attached tracer cannot perturb the base run (it only observes —
 // see TestCounterfactualTracerInvisible).
 func RunCounterfactual(cc CounterfactualConfig) (*Counterfactual, error) {
-	if cc.Sim.DecisionTracer != nil || cc.Sim.Probe != nil || cc.Sim.Sampler != nil {
+	if cc.Sim.DecisionTracer != nil || cc.Sim.Sampler != nil {
 		return nil, fmt.Errorf("decision: counterfactual config must not carry observers")
 	}
 	baseCfg := cc.Sim

@@ -52,9 +52,9 @@ type Options struct {
 	// instruction throughput for the run manifest.
 	Stats *runner.Collector
 	// SampleEvery, when non-zero, instruments every simulation cell with
-	// a telemetry recorder and an interval sampler snapshotting per-core
-	// IPC, MPKI, and inclusion victims every SampleEvery committed
-	// instructions. Probe summaries land in the Stats manifest.
+	// an interval sampler snapshotting per-core IPC, MPKI, and inclusion
+	// victims every SampleEvery committed instructions, and records each
+	// cell's telemetry summary in the Stats manifest.
 	SampleEvery uint64
 	// SampleDir, when set alongside SampleEvery, receives one
 	// <mix>-<spec>-intervals.{csv,jsonl} time-series pair per cell.
@@ -240,13 +240,10 @@ func runMatrix(o Options, cores int, mixes []workload.Mix, specs []Spec, mutate 
 				Work: work,
 				Run: func(context.Context) (res sim.MixResult, err error) {
 					c := cfg
-					var rec *telemetry.Recorder
 					if o.SampleEvery > 0 {
-						// Each cell owns its sampler and recorder, so
-						// parallel cells never share telemetry state.
+						// Each cell owns its sampler, so parallel cells
+						// never share telemetry state.
 						c.Sampler = telemetry.NewSampler(o.SampleEvery)
-						rec = telemetry.NewRecorder()
-						c.Probe = rec
 					}
 					if o.DecisionTraceDir != "" {
 						// Each cell owns its decision-trace writer; the
@@ -278,8 +275,8 @@ func runMatrix(o Options, cores int, mixes []workload.Mix, specs []Spec, mutate 
 					if err != nil {
 						return res, fmt.Errorf("%s under %s: %w", mix.Name, spec.Name, err)
 					}
-					if rec != nil {
-						o.Stats.AddTelemetry(mix.Name+"/"+spec.Name, rec.Summary())
+					if o.SampleEvery > 0 {
+						o.Stats.AddTelemetry(mix.Name+"/"+spec.Name, res.Telemetry())
 						if o.SampleDir != "" {
 							prefix := filepath.Join(o.SampleDir,
 								sanitizeName(mix.Name+"-"+spec.Name)+"-intervals")

@@ -139,7 +139,7 @@ func TestRunMatrixProgressAndErrors(t *testing.T) {
 
 // TestRunMatrixSampling checks the observability wiring end to end:
 // SampleEvery instruments every cell, interval CSV/JSONL pairs land
-// under SampleDir, and probe summaries reach the stats collector.
+// under SampleDir, and telemetry summaries reach the stats collector.
 func TestRunMatrixSampling(t *testing.T) {
 	o := fastOptions()
 	o.Stats = runner.NewCollector()

@@ -186,8 +186,8 @@ func (h *Hierarchy) lookupLLC(core int, kind AccessKind, la uint64) Result {
 			// is a rescue: the line was early-invalidated from the core
 			// caches and the prompt re-reference ECI bet on has arrived.
 			// The TLA check leads so non-ECI runs skip the presence read.
-			if h.cfg.TLA == TLAECI && h.probe != nil && h.llc.PresenceAt(set, way) == 0 {
-				h.probe.ECIRescue(la)
+			if h.cfg.TLA == TLAECI && h.llc.PresenceAt(set, way) == 0 {
+				h.eciRescue(set, way)
 			}
 			h.llc.PromoteWay(set, way)
 			h.llc.AddPresenceAt(set, way, core)
@@ -330,9 +330,6 @@ func (h *Hierarchy) allocL2(core int, la uint64) {
 		}
 		if removed {
 			h.Cores[core].L2InclusionVictims++
-			if h.probe != nil {
-				h.probe.L2InclusionVictim(core, victim.Addr)
-			}
 		}
 	}
 	l2.FillWay(set, way, la, 0)
@@ -502,7 +499,8 @@ func (h *Hierarchy) qbsSuggestedWay(chosen int) int {
 // a core cache (per the configured probe set), promote it to MRU and
 // try the next candidate, up to the query limit. Candidates whose
 // directory presence mask is empty are evicted without spending a
-// query — the directory already proves no core holds them.
+// query — the directory already proves no core holds them. A selection
+// that spent queries records their number in TLA.QBSQueryDepth.
 func (h *Hierarchy) selectLLCVictim(set int) int {
 	way := h.llc.VictimWay(set)
 	if h.cfg.TLA != TLAQBS {
@@ -512,20 +510,17 @@ func (h *Hierarchy) selectLLCVictim(set int) int {
 	if limit == 0 {
 		limit = h.cfg.LLCAssoc
 	}
-	for q := 0; q < limit; {
+	q := 0
+	for q < limit {
 		line := h.llc.Line(set, way)
 		presence := h.effectivePresence(line.Presence)
 		if !line.Valid || presence == 0 {
-			return way
+			break
 		}
 		h.Traffic.QBSQueries++
 		q++
-		resident := h.residentInCores(line.Addr, presence, h.cfg.QBSProbe)
-		if h.probe != nil {
-			h.probe.QBSQuery(line.Addr, q, resident)
-		}
-		if !resident {
-			return way
+		if !h.residentInCores(line.Addr, presence, h.cfg.QBSProbe) {
+			break
 		}
 		h.Traffic.QBSSaves++
 		h.llc.PromoteWay(set, way)
@@ -541,9 +536,12 @@ func (h *Hierarchy) selectLLCVictim(set int) int {
 			// Fixed point (possible under SRRIP when a whole set is
 			// near-immediate): promoting changed nothing, so further
 			// queries would repeat verbatim. Accept the candidate.
-			return way
+			break
 		}
 		way = next
+	}
+	if q > 0 {
+		h.TLA.QBSQueryDepth.Observe(uint64(q))
 	}
 	return way
 }
@@ -615,9 +613,6 @@ func (h *Hierarchy) backInvalidate(addr uint64, presence uint64) (dirty bool, vi
 		c := bits.TrailingZeros64(presence)
 		presence &^= 1 << uint(c)
 		h.Traffic.BackInvalidates++
-		if h.probe != nil {
-			h.probe.BackInvalidate(addr)
-		}
 		removed := false
 		if line, ok := h.l1i[c].Invalidate(addr); ok {
 			removed = true
@@ -635,9 +630,6 @@ func (h *Hierarchy) backInvalidate(addr uint64, presence uint64) (dirty bool, vi
 		if removed {
 			h.Cores[c].InclusionVictims++
 			victims++
-			if h.probe != nil {
-				h.probe.InclusionVictim(c, addr)
-			}
 		}
 	}
 	return dirty, victims
@@ -657,11 +649,23 @@ func (h *Hierarchy) earlyCoreInvalidate(set int, justFilled uint64) {
 		return
 	}
 	h.Traffic.ECISent++
-	if h.probe != nil {
-		h.probe.ECIInvalidate(line.Addr)
-	}
+	h.eciStamp[set*h.cfg.LLCAssoc+way] = h.Traffic.ECISent
 	h.Traffic.ECIInvalidated += uint64(h.invalidateInCores(line.Addr, presence))
 	h.llc.ClearPresence(line.Addr)
+}
+
+// eciRescue accounts a rescue: a demand hit on the LLC line at
+// (set, way) after ECI emptied its presence mask. The rescue distance
+// is observed only when the line's ECI happened inside the counter
+// window; the stamp is then spent, so one ECI yields at most one
+// observation.
+func (h *Hierarchy) eciRescue(set, way int) {
+	h.TLA.ECIRescues++
+	i := set*h.cfg.LLCAssoc + way
+	if at := h.eciStamp[i]; at != 0 {
+		h.TLA.ECIRescueDistance.Observe(h.Traffic.ECISent - at)
+		h.eciStamp[i] = 0
+	}
 }
 
 // invalidateInCores removes addr from the caches of every core in the
@@ -717,9 +721,6 @@ func (h *Hierarchy) maybeHint(src CacheSet, la uint64) {
 		}
 	}
 	h.Traffic.TLHSent++
-	if h.probe != nil {
-		h.probe.TLHHint(la)
-	}
 	h.llc.Touch(la)
 }
 

@@ -3,8 +3,6 @@ package hierarchy
 import (
 	"encoding/binary"
 	"testing"
-
-	"tlacache/internal/telemetry"
 )
 
 // FuzzHierarchyAccess drives a hierarchy with an arbitrary access
@@ -46,8 +44,6 @@ func FuzzHierarchyAccess(f *testing.F) {
 		}
 		cfg.EnablePrefetch = mode&0x40 != 0
 		h := MustNew(cfg)
-		rec := telemetry.NewRecorder()
-		h.SetProbe(rec)
 		a := NewAuditor(h)
 
 		for i := 0; i+4 <= len(data); i += 4 {

@@ -392,6 +392,25 @@ type Traffic struct {
 	CoherenceSnoops uint64
 }
 
+// TLAStats holds the TLA-mechanism statistics that Traffic's flat
+// counters cannot express: ECI rescues and the two distributions the
+// run telemetry summary reports. Like Traffic it is always on, covers
+// the window since the last ResetCounters, and costs no allocation.
+type TLAStats struct {
+	// ECIRescues counts demand hits on LLC lines whose presence mask
+	// ECI had emptied — the prompt re-references ECI bets on.
+	ECIRescues uint64
+	// QBSQueryDepth records, per LLC victim selection that spent at
+	// least one QBS query, how many queries it spent.
+	QBSQueryDepth telemetry.Histogram
+	// ECIRescueDistance records, per rescue whose ECI fell inside the
+	// window, how many ECI operations were initiated between the
+	// line's early invalidation and its rescue (0 when none).
+	// Rescues of lines ECI'd before the window count in ECIRescues
+	// only.
+	ECIRescueDistance telemetry.Histogram
+}
+
 // Hierarchy is a complete simulated cache hierarchy. Not safe for
 // concurrent use: the simulator is single-goroutine for determinism.
 type Hierarchy struct {
@@ -424,14 +443,16 @@ type Hierarchy struct {
 	//tlavet:resetexempt derived from cfg at construction, never varies
 	bankOccupancy uint64
 
-	// probe receives typed telemetry events when non-nil. Every fire
-	// site is on a miss or invalidation path and guarded by a single
-	// nil-interface branch, so the disabled (nil) cost is negligible.
-	probe telemetry.Probe
+	// eciStamp holds, per LLC line index (set*assoc+way), the
+	// Traffic.ECISent value right after the ECI that emptied the line's
+	// presence mask, or 0 when no ECI inside the counter window awaits
+	// a rescue there. A rescue observes ECISent minus the stamp into
+	// TLA.ECIRescueDistance. Allocated only when the TLA policy is ECI.
+	eciStamp []uint64
 
 	// tracer receives one record per LLC victim choice when non-nil,
-	// guarded like probe by a single nil-interface branch at each fire
-	// site (fillLLC, insertLLCFromL2). dec is the reusable scratch
+	// guarded by a single nil-interface branch at each fire site
+	// (fillLLC, insertLLCFromL2). dec is the reusable scratch
 	// record; its Candidates buffer is preallocated by SetDecisionTracer
 	// so traced decisions allocate nothing on the hot path.
 	tracer telemetry.DecisionTracer
@@ -439,6 +460,7 @@ type Hierarchy struct {
 
 	Cores   []CoreStats
 	Traffic Traffic
+	TLA     TLAStats
 }
 
 // New builds a hierarchy from cfg, validating the configuration and
@@ -486,6 +508,9 @@ func New(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h.llc = llc
+	if cfg.TLA == TLAECI {
+		h.eciStamp = make([]uint64, cfg.LLCSize/cfg.LineSize)
+	}
 	if cfg.VictimCacheEntries > 0 {
 		h.vc = newVictimCache(cfg.VictimCacheEntries)
 	}
@@ -504,12 +529,12 @@ func New(cfg Config) (*Hierarchy, error) {
 // (contents, replacement state, lookup memos), prefetchers, the victim
 // cache, the TLH sampling clock, the per-core ifetch memos, bank
 // clocks, the decision-record scratch (its sequence number restarts at
-// zero, like a fresh hierarchy's), and all statistics.
+// zero, like a fresh hierarchy's), and all statistics (ResetCounters).
 //
-// Observers (probe, decision tracer) are detached: they belong to one
-// run's measurement window, and a pooled hierarchy reused for a new
-// run must not report events to the previous run's instruments. The
-// simulator re-attaches its own observers at the warmup boundary.
+// The decision tracer is detached: it belongs to one run's measurement
+// window, and a pooled hierarchy reused for a new run must not report
+// decisions to the previous run's writer. The simulator re-attaches
+// its own tracer at the warmup boundary.
 //
 // Reset-then-rerun must be indistinguishable from fresh-build-then-run;
 // the reset-equivalence regression tests pin that byte-for-byte; the
@@ -535,7 +560,6 @@ func (h *Hierarchy) Reset() {
 	for i := range h.bankFree {
 		h.bankFree[i] = 0
 	}
-	h.probe = nil
 	h.tracer = nil
 	// Keep the candidate scratch buffer (SetDecisionTracer would just
 	// reallocate it) but restart the record — Seq must count from zero
@@ -543,10 +567,22 @@ func (h *Hierarchy) Reset() {
 	// previous run's decision count.
 	cands := h.dec.Candidates
 	h.dec = telemetry.Decision{Candidates: cands}
+	h.ResetCounters()
+}
+
+// ResetCounters zeroes every statistic — per-core stats, Traffic,
+// TLAStats and the ECI rescue stamps — and leaves all cache,
+// prefetcher and replacement state in place. The simulator calls it at
+// the warmup boundary so the measurement window starts from zero;
+// rescues of lines ECI'd before that point then count in
+// TLA.ECIRescues without a distance observation.
+func (h *Hierarchy) ResetCounters() {
 	for i := range h.Cores {
 		h.Cores[i] = CoreStats{}
 	}
 	h.Traffic = Traffic{}
+	h.TLA = TLAStats{}
+	clear(h.eciStamp)
 }
 
 // MustNew is New for known-good configurations.
@@ -561,13 +597,8 @@ func MustNew(cfg Config) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// SetProbe attaches (or, with nil, detaches) a telemetry probe. The
-// simulator attaches it after the warmup counter reset so probes
-// observe exactly the measurement window.
-func (h *Hierarchy) SetProbe(p telemetry.Probe) { h.probe = p }
-
 // SetDecisionTracer attaches (or, with nil, detaches) an LLC
-// victim-decision tracer. Like SetProbe it is attached after the warmup
+// victim-decision tracer. The simulator attaches it after the warmup
 // reset so traces cover exactly the measurement window. The candidate
 // scratch buffer is (re)allocated here, off the hot path, so traced
 // decisions reuse it without allocating.

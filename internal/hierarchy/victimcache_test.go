@@ -2,8 +2,6 @@ package hierarchy
 
 import (
 	"testing"
-
-	"tlacache/internal/telemetry"
 )
 
 // vcOrder returns the victim cache's addresses MRU-first.
@@ -123,8 +121,6 @@ func TestVictimCacheUnderAuditor(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.VictimCacheEntries = 32 // the paper's §VI configuration
 	h := MustNew(cfg)
-	rec := telemetry.NewRecorder()
-	h.SetProbe(rec)
 	a := NewAuditor(h)
 
 	// Cyclically walk more lines than the 64-line LLC holds. Each access

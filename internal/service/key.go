@@ -24,7 +24,7 @@ const KeyVersion = "v1"
 //
 // cfg must be the fully resolved sim.Config (policy already applied to
 // the hierarchy); apps is the resolved per-core benchmark list. The
-// observer fields of sim.Config (Probe, Sampler, DecisionTracer,
+// observer fields of sim.Config (Sampler, DecisionTracer,
 // InvariantEvery, AuditEvery) are deliberately excluded: they never
 // change simulation results, only what is recorded about them.
 // TestKeyCoversConfig pins the field sets so a new config field cannot

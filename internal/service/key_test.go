@@ -66,15 +66,14 @@ func TestKeyCanonicalGolden(t *testing.T) {
 // to canonical and bump KeyVersion) or is an observer (document it in
 // the exclusion list below), then update the pinned count.
 func TestKeyCoversConfig(t *testing.T) {
-	// sim.Config exclusions: Probe, Sampler, DecisionTracer,
-	// InvariantEvery, AuditEvery — observers that cannot change
-	// results.
+	// sim.Config exclusions: Sampler, DecisionTracer, InvariantEvery,
+	// AuditEvery — observers that cannot change results.
 	for _, tc := range []struct {
 		name   string
 		typ    reflect.Type
 		fields int
 	}{
-		{"sim.Config", reflect.TypeOf(sim.Config{}), 10},
+		{"sim.Config", reflect.TypeOf(sim.Config{}), 9},
 		{"hierarchy.Config", reflect.TypeOf(hierarchy.Config{}), 29},
 		{"hierarchy.Latencies", reflect.TypeOf(hierarchy.Latencies{}), 4},
 		{"cpu.Config", reflect.TypeOf(cpu.Config{}), 3},

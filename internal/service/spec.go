@@ -7,7 +7,7 @@
 //
 // The soundness of serving a cached manifest instead of re-simulating
 // rests on the simulator's determinism contract: a run's MixResult and
-// probe summary are pure functions of (machine config, workload,
+// telemetry summary are pure functions of (machine config, workload,
 // policy, seed, budgets) — the exact tuple Key hashes — regardless of
 // GOMAXPROCS or scheduling (internal/sim's determinism regression pins
 // this). Environment and wall-time fields in the manifest are
@@ -155,7 +155,7 @@ func SpecKey(spec JobSpec) (JobSpec, string, error) {
 }
 
 // Manifest is the cached result artifact: the normalized request, the
-// deterministic simulation result and probe summary, and annotations
+// deterministic simulation result and telemetry summary, and annotations
 // (environment, wall time) of the execution that filled the cache
 // entry. Cache hits serve the stored bytes verbatim, so a manifest is
 // byte-identical on every hit.
@@ -230,8 +230,6 @@ func Execute(spec JobSpec, sink func(telemetry.Sample)) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	rec := telemetry.NewRecorder()
-	cfg.Probe = rec
 	if norm.Interval > 0 {
 		sampler := telemetry.NewSampler(norm.Interval)
 		sampler.Sink = sink
@@ -253,7 +251,7 @@ func Execute(spec JobSpec, sink func(telemetry.Sample)) (Manifest, error) {
 		Env:         runner.CollectEnv(),
 		WallSeconds: time.Since(start).Seconds(),
 	}
-	if s := rec.Summary(); len(s.Events) > 0 || s.QBSQueryDepth != nil || s.ECIRescueDistance != nil {
+	if s := res.Telemetry(); len(s.Events) > 0 || s.QBSQueryDepth != nil || s.ECIRescueDistance != nil {
 		m.Telemetry = &s
 	}
 	return m, nil

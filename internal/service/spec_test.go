@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -197,5 +199,100 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(norm, again) {
 		t.Errorf("normalization not idempotent:\n first %+v\nsecond %+v", norm, again)
+	}
+}
+
+// FuzzJobSpec feeds arbitrary JSON to the daemon's request decoding
+// path. For every body that decodes into a JobSpec and normalizes,
+// normalization must be idempotent, SpecKey must be a pure function of
+// the spec, and Resolve must return (possibly an error) without
+// panicking.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"apps":["sje","lib"]}`,
+		`{"mix":"MIX_00"}`,
+		`{"mix":"MIX_00","apps":["sje"]}`,
+		`{"mix":"MIX_99"}`,
+		`{"apps":["nope"]}`,
+		`{"apps":["sje","lib"],"policy":"wat"}`,
+		`{"apps":["sje","lib"],"llc":"huge"}`,
+		`{"apps":["sje","lib"],"policy":"qbs","seed":3,"instructions":60000,"warmup":20000}`,
+		`{"apps":["sje","lib"],"warmup":0,"interval":10000}`,
+		`{"apps":["sje","lib"],"llc":"128KB","no_prefetch":true,"policy":"eci"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		norm, err := spec.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := norm.Normalize()
+		if err != nil {
+			t.Fatalf("re-normalizing %+v: %v", norm, err)
+		}
+		if !reflect.DeepEqual(norm, again) {
+			t.Fatalf("normalization not idempotent:\n first %+v\nsecond %+v", norm, again)
+		}
+		_, k1, err1 := SpecKey(spec)
+		_, k2, err2 := SpecKey(spec)
+		if k1 != k2 || (err1 == nil) != (err2 == nil) {
+			t.Fatalf("SpecKey not deterministic: %q (%v) vs %q (%v)", k1, err1, k2, err2)
+		}
+		_, _ = norm.Resolve()
+	})
+}
+
+// goldenPolicies are the policies whose telemetry summaries
+// testdata/telemetry_summary_golden.json pins: one per TLA mechanism
+// plus the two non-TLA reference points.
+var goldenPolicies = []string{"baseline", "tlh", "eci", "qbs", "qbs-modified", "non-inclusive"}
+
+// TestTelemetrySummaryGolden pins the marshalled manifest telemetry
+// section byte-for-byte for small sje,lib runs under every TLA
+// mechanism. The 128KB LLC puts the short runs under enough pressure
+// that each mechanism fires its events (the non-inclusive run fires
+// none, pinning the absent section). The summary is part of the cached
+// manifest, so its event names, omission rules and histogram digests
+// must not drift.
+func TestTelemetrySummaryGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/telemetry_summary_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]json.RawMessage
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != len(goldenPolicies) {
+		t.Fatalf("golden file has %d policies, want %d", len(golden), len(goldenPolicies))
+	}
+	for _, p := range goldenPolicies {
+		t.Run(p, func(t *testing.T) {
+			want, ok := golden[p]
+			if !ok {
+				t.Fatalf("golden file has no %q entry", p)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, want); err != nil {
+				t.Fatal(err)
+			}
+			m, err := Execute(JobSpec{Apps: []string{"sje", "lib"}, Policy: p,
+				Instructions: 50_000, Warmup: u64(200_000), LLC: "128KB"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(m.Telemetry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, compact.Bytes()) {
+				t.Errorf("telemetry summary drifted:\n got %s\nwant %s", got, compact.Bytes())
+			}
+		})
 	}
 }

@@ -107,7 +107,6 @@ func releaseMachine(m *machine) {
 	for _, g := range m.gens {
 		g.inner = nil
 	}
-	m.h.SetProbe(nil)
 	m.h.SetDecisionTracer(nil)
 	machinePool.Lock()
 	if s := machinePool.free[m.key]; len(s) < maxFree {

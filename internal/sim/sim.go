@@ -52,31 +52,21 @@ type Config struct {
 	InvariantEvery uint64
 	// AuditEvery, when positive, runs a full hierarchy audit
 	// (hierarchy.Auditor: structural invariants, per-cache consistency,
-	// counter monotonicity and conservation, probe cross-checks) every
-	// AuditEvery committed instructions of the measurement window and
-	// aborts the run on a violation, reporting the seed that reproduces
-	// it. Stronger and costlier than InvariantEvery; exposed as
+	// counter monotonicity and conservation) every AuditEvery committed
+	// instructions of the measurement window and aborts the run on a
+	// violation, reporting the seed that reproduces it. Stronger and
+	// costlier than InvariantEvery; exposed as
 	// `tlasim -audit N`.
 	//
 	//tlavet:keyexempt debug-only audit mode; aborts on violation, never changes results
 	AuditEvery uint64
-	// Probe, when non-nil, receives typed telemetry events (inclusion
-	// victims, back-invalidations, ECI, QBS, TLH) from the hierarchy.
-	// It is attached after the warmup counter reset, so it observes the
-	// measurement window — including, like Traffic, the post-budget
-	// execution of fast cores. A probe must not be shared between
-	// concurrent runs.
-	//
-	//tlavet:keyexempt pure observer; never changes simulation results
-	Probe telemetry.Probe
 	// DecisionTracer, when non-nil, receives one record per LLC victim
 	// choice (candidate ways with per-policy ranks, the chosen way, the
 	// QBS-suggested alternative, and the eviction's inclusion-victim
-	// count). Attached after the warmup counter reset like Probe, so
-	// traces cover exactly the measurement window. Like the other
-	// observer fields it never changes simulation results — the service
-	// cache key excludes it — and must not be shared between concurrent
-	// runs.
+	// count). Attached after the warmup counter reset, so traces cover
+	// exactly the measurement window. Like the other observer fields it
+	// never changes simulation results — the service cache key excludes
+	// it — and must not be shared between concurrent runs.
 	//
 	//tlavet:keyexempt pure observer; never changes simulation results
 	DecisionTracer telemetry.DecisionTracer
@@ -169,6 +159,57 @@ type MixResult struct {
 	LLCMisses uint64
 	// InclusionVictims sums the apps' windowed inclusion victims.
 	InclusionVictims uint64
+
+	// TLA, RunInclusionVictims and RunL2InclusionVictims feed
+	// Telemetry. Like Traffic they cover the whole post-warmup run,
+	// not the per-app windows. They stay out of the result's JSON
+	// encoding, which manifests and golden digests pin byte-for-byte.
+	//
+	//tlavet:keyexempt reaches manifests through their telemetry section (MixResult.Telemetry)
+	TLA hierarchy.TLAStats `json:"-"`
+	//tlavet:keyexempt reaches manifests through their telemetry section (MixResult.Telemetry)
+	RunInclusionVictims uint64 `json:"-"`
+	//tlavet:keyexempt reaches manifests through their telemetry section (MixResult.Telemetry)
+	RunL2InclusionVictims uint64 `json:"-"`
+}
+
+// Telemetry derives the run's telemetry summary from its counters: the
+// hierarchy event totals under their stable manifest names, with
+// zero counts omitted, plus the QBS query-depth and ECI
+// rescue-distance histograms when non-empty. It adds the run's event
+// total to the process-wide tla_probe_events expvar, so call it once
+// per run.
+func (r *MixResult) Telemetry() telemetry.Summary {
+	t := &r.Traffic
+	events := [...]struct {
+		name  string
+		count uint64
+	}{
+		{"inclusion_victim", r.RunInclusionVictims},
+		{"l2_inclusion_victim", r.RunL2InclusionVictims},
+		{"back_invalidate", t.BackInvalidates},
+		{"eci_invalidate", t.ECISent},
+		{"eci_rescue", r.TLA.ECIRescues},
+		{"qbs_query", t.QBSQueries},
+		{"qbs_save", t.QBSSaves},
+		{"tlh_hint", t.TLHSent},
+	}
+	s := telemetry.Summary{Events: make(map[string]uint64)}
+	var total uint64
+	for _, e := range events {
+		if e.count > 0 {
+			s.Events[e.name] = e.count
+			total += e.count
+		}
+	}
+	if h := r.TLA.QBSQueryDepth.Summary(); h.Count > 0 {
+		s.QBSQueryDepth = &h
+	}
+	if h := r.TLA.ECIRescueDistance.Summary(); h.Count > 0 {
+		s.ECIRescueDistance = &h
+	}
+	telemetry.EventsSummarized(total)
+	return s
 }
 
 // offsetGen shifts a generator's code and data addresses into a
@@ -245,6 +286,11 @@ func runGenerators(cfg Config, streams []trace.Generator, epoch uint64) (MixResu
 		Mix:     workload.Mix{Name: "custom", Apps: make([]string, n)},
 		Apps:    make([]AppResult, n),
 		Traffic: m.h.Traffic,
+		TLA:     m.h.TLA,
+	}
+	for i := range m.h.Cores {
+		res.RunInclusionVictims += m.h.Cores[i].InclusionVictims
+		res.RunL2InclusionVictims += m.h.Cores[i].L2InclusionVictims
 	}
 	for i := range res.Apps {
 		res.Apps[i] = m.apps[i]
@@ -299,8 +345,8 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64)
 	}
 	hitLat := cfg.Hierarchy.Latency.L1
 
-	// Telemetry attaches after the warmup reset (see below), so during
-	// warmup both stay disabled. llcLines scales occupancy samples.
+	// The sampler attaches after the warmup reset (see below), so it
+	// stays disabled during warmup. llcLines scales occupancy samples.
 	var sampler *telemetry.Sampler
 	llcLines := cfg.Hierarchy.LLCSize / cfg.Hierarchy.LineSize
 	sample := func(c int) {
@@ -440,23 +486,19 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64)
 		}
 		// Counters reset; cache, prefetcher, and victim-cache state
 		// carries into the measurement window.
-		for i := range h.Cores {
-			h.Cores[i] = hierarchy.CoreStats{}
-		}
-		h.Traffic = hierarchy.Traffic{}
+		h.ResetCounters()
 		for i := range cores {
 			cores[i].Reset()
 			committed[i] = 0
 			finished[i] = false
 		}
 	}
-	h.SetProbe(cfg.Probe)
 	h.SetDecisionTracer(cfg.DecisionTracer)
 	sampler = cfg.Sampler
 	if cfg.AuditEvery > 0 {
 		// The auditor baselines here — right where the counters'
-		// measurement window starts — so its conservation deltas and
-		// probe cross-checks cover exactly the measured traffic.
+		// measurement window starts — so its conservation deltas cover
+		// exactly the measured traffic.
 		auditor = hierarchy.NewAuditor(h)
 	}
 	return run(cfg.Instructions, func(c int) {

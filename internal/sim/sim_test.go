@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/json"
+	"expvar"
 	"math"
+	"reflect"
 	"testing"
 
 	"tlacache/internal/hierarchy"
@@ -231,34 +234,86 @@ func TestSamplerVictimColumnSumsToAggregate(t *testing.T) {
 	}
 }
 
-// TestProbeObservesMeasurementWindow attaches a recorder and checks it
-// agrees with the run's Traffic counters (both cover the measurement
-// window including post-budget execution) and stays silent during
-// warmup-only activity.
-func TestProbeObservesMeasurementWindow(t *testing.T) {
+// TestTelemetryObservesMeasurementWindow checks that the telemetry
+// summary covers exactly the measurement window, like Traffic (which
+// includes post-budget execution): its events equal the run's counters,
+// and the TLA statistics restart at the warmup reset — a depth
+// histogram that kept warmup chains would outgrow the windowed query
+// count.
+func TestTelemetryObservesMeasurementWindow(t *testing.T) {
 	cfg := quickConfig(2, 60_000)
 	cfg.Warmup = 400_000
-	cfg.Hierarchy.TLA = hierarchy.TLAQBS
-	rec := telemetry.NewRecorder()
-	cfg.Probe = rec
-	res, err := RunMix(cfg, workload.Mix{Name: "Q", Apps: []string{"sje", "lib"}})
+	cfg.Hierarchy.LLCSize = 128 << 10
+	mix := workload.Mix{Name: "Q", Apps: []string{"sje", "lib"}}
+	for _, tla := range []hierarchy.TLAPolicy{hierarchy.TLAQBS, hierarchy.TLAECI} {
+		cfg.Hierarchy.TLA = tla
+		res, err := RunMix(cfg, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, tr := res.Telemetry(), res.Traffic
+		if s.Events["qbs_query"] != tr.QBSQueries || s.Events["qbs_save"] != tr.QBSSaves ||
+			s.Events["back_invalidate"] != tr.BackInvalidates || s.Events["eci_invalidate"] != tr.ECISent ||
+			s.Events["eci_rescue"] != res.TLA.ECIRescues {
+			t.Errorf("%s: events %v disagree with traffic %+v", tla, s.Events, tr)
+		}
+		switch d, r := s.QBSQueryDepth, s.ECIRescueDistance; tla {
+		case hierarchy.TLAQBS:
+			if d == nil || d.Sum != tr.QBSQueries {
+				t.Errorf("query depths %+v do not partition %d windowed queries", d, tr.QBSQueries)
+			}
+		case hierarchy.TLAECI:
+			if r == nil || r.Count > res.TLA.ECIRescues {
+				t.Errorf("rescue distances %+v for %d rescues", r, res.TLA.ECIRescues)
+			}
+		}
+	}
+}
+
+// TestSummaryL2InclusionVictims checks the inclusive-L2 event reaches
+// the summary as the whole-run total, which covers every app's window.
+func TestSummaryL2InclusionVictims(t *testing.T) {
+	cfg := quickConfig(2, 50_000)
+	cfg.Hierarchy.L2Inclusive = true
+	res, err := RunMix(cfg, workload.Mix{Name: "L2", Apps: []string{"sje", "lib"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rec.Count(telemetry.EvQBSQuery), res.Traffic.QBSQueries; got != want {
-		t.Errorf("QBS query events = %d, traffic counter = %d", got, want)
+	windowed := res.Apps[0].L2InclusionVictims + res.Apps[1].L2InclusionVictims
+	if got := res.Telemetry().Events["l2_inclusion_victim"]; got == 0 || got != res.RunL2InclusionVictims || got < windowed {
+		t.Errorf("l2_inclusion_victim = %d, run total %d, windowed %d", got, res.RunL2InclusionVictims, windowed)
 	}
-	if got, want := rec.Count(telemetry.EvQBSSave), res.Traffic.QBSSaves; got != want {
-		t.Errorf("QBS save events = %d, traffic counter = %d", got, want)
+}
+
+// TestTelemetrySummary checks the summary's shape: stable event
+// names, zero-count events and empty histograms omitted, and the
+// event total added once to the tla_probe_events expvar.
+func TestTelemetrySummary(t *testing.T) {
+	if b, _ := json.Marshal(new(MixResult).Telemetry()); string(b) != `{"events":{}}` {
+		t.Errorf("empty summary = %s", b)
 	}
-	if got, want := rec.Count(telemetry.EvBackInvalidate), res.Traffic.BackInvalidates; got != want {
-		t.Errorf("back-invalidate events = %d, traffic counter = %d", got, want)
+	events := expvar.Get("tla_probe_events").(*expvar.Int)
+	r := MixResult{RunInclusionVictims: 2}
+	r.Traffic.QBSQueries, r.Traffic.QBSSaves = 5, 4
+	r.TLA.QBSQueryDepth.Observe(5)
+	r.TLA.ECIRescues = 1 // its ECI predates the window: no distance
+	before := events.Value()
+	s := r.Telemetry()
+	if got := events.Value() - before; got != 12 {
+		t.Errorf("tla_probe_events grew by %d, want 12", got)
+	}
+	want := map[string]uint64{"inclusion_victim": 2, "qbs_query": 5, "qbs_save": 4, "eci_rescue": 1}
+	if !reflect.DeepEqual(s.Events, want) {
+		t.Errorf("events = %v, want %v", s.Events, want)
+	}
+	if h := s.QBSQueryDepth; h == nil || h.Count != 1 || h.Sum != 5 || s.ECIRescueDistance != nil {
+		t.Errorf("histograms = %+v, %+v", h, s.ECIRescueDistance)
 	}
 }
 
 // TestTelemetryDoesNotPerturbResults is determinism across
-// instrumentation: attaching a probe and sampler must not change a
-// single statistic of the simulated machine.
+// instrumentation: attaching a sampler must not change a single
+// statistic of the simulated machine.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	cfg := quickConfig(2, 50_000)
 	mix := workload.Mix{Name: "D", Apps: []string{"sje", "lib"}}
@@ -266,7 +321,6 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Probe = telemetry.NewRecorder()
 	cfg.Sampler = telemetry.NewSampler(5_000)
 	instrumented, err := RunMix(cfg, mix)
 	if err != nil {

@@ -142,8 +142,8 @@ func NewDecisionWriter(w io.Writer, meta DecisionMeta) (*DecisionWriter, error) 
 // Decision implements DecisionTracer. The scratch buffer is sized for
 // the worst-case record at construction, so the appends below reuse it
 // in the steady state; tracer-attached runs opt out of the zero-alloc
-// contract regardless (like Recorder-attached ones). TLAD1 bytes are
-// replay-compared across runs, so this is a detflow sink.
+// contract regardless. TLAD1 bytes are replay-compared across runs, so
+// this is a detflow sink.
 //
 //tlavet:detsink
 func (dw *DecisionWriter) Decision(d *Decision) {

@@ -10,9 +10,9 @@ import "math/bits"
 const histBuckets = 65
 
 // Histogram is a fixed-cost exponential-bucket histogram for
-// non-negative integer observations. The zero value is ready to use; it
-// is not goroutine-safe (probes run on the single simulation
-// goroutine).
+// non-negative integer observations. The zero value is ready to use and
+// Observe never allocates; it is not goroutine-safe (the hierarchy
+// observes from the single simulation goroutine).
 type Histogram struct {
 	count, sum uint64
 	min, max   uint64
@@ -34,6 +34,9 @@ func (h *Histogram) Observe(v uint64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() uint64 { return h.sum }
 
 // HistogramBucket is one non-empty bucket of a summary: Count values
 // were observed in [Lo, Hi].

@@ -1,16 +1,18 @@
 // Package telemetry is the simulator's low-overhead instrumentation
-// layer: typed event probes fired by internal/hierarchy at the
-// temporal-locality moments the paper's evaluation revolves around
+// layer: the Summary that run manifests carry for the
+// temporal-locality events the paper's evaluation revolves around
 // (inclusion victims, back-invalidations, ECI early-invalidates and
-// rescue hits, QBS queries), counter and histogram primitives that
-// summarise those events for run manifests, an interval sampler that
-// turns a run into per-core time series (internal/sim feeds it), and a
-// live pprof/expvar debug endpoint for profiling long parallel sweeps.
+// rescue hits, QBS queries), the fixed-bucket Histogram in which the
+// hierarchy counts the QBS query-depth and ECI rescue-distance
+// distributions, an interval sampler that turns a run into per-core
+// time series (internal/sim feeds it), the LLC victim-decision tracer,
+// and a live pprof/expvar debug endpoint for profiling long parallel
+// sweeps.
 //
-// The layer is strictly opt-in: a hierarchy with no probe attached pays
-// one nil-interface branch per already-rare event site (all sites are
-// on miss or invalidation paths, never on the L1 hit path), and a sim
-// with no sampler pays one nil check per committed instruction.
+// The event counts themselves are ordinary hierarchy statistics,
+// always on and allocation-free; only the sampler and the decision
+// tracer are opt-in observers, costing one nil check per committed
+// instruction and per LLC victim choice when off.
 package telemetry
 
 import (
@@ -22,180 +24,12 @@ import (
 	"time"
 )
 
-// Probe receives typed events from the cache hierarchy. Implementations
-// are called synchronously from the single simulation goroutine of one
-// run and therefore need no locking of their own, but two concurrent
-// runs must not share one Probe.
-//
-// addr arguments are line-aligned physical addresses; core arguments
-// index hierarchy cores.
-type Probe interface {
-	// InclusionVictim fires when an LLC back-invalidation removes at
-	// least one valid line from core's caches — the harmful event the
-	// paper studies.
-	InclusionVictim(core int, addr uint64)
-	// L2InclusionVictim fires when an inclusive private L2's eviction
-	// removes a valid line from its core's L1s (footnote 3 designs).
-	L2InclusionVictim(core int, addr uint64)
-	// BackInvalidate fires once per back-invalidate message the LLC
-	// sends (directory-filtered, so one per targeted core).
-	BackInvalidate(addr uint64)
-	// ECIInvalidate fires when ECI early-invalidates the next LLC
-	// victim from the core caches while retaining it in the LLC.
-	ECIInvalidate(addr uint64)
-	// ECIRescue fires when a demand access hits an LLC line that ECI
-	// had early-invalidated — the prompt re-reference ECI bets on.
-	ECIRescue(addr uint64)
-	// QBSQuery fires once per QBS victim query. depth is the 1-based
-	// position in the query chain for this eviction; saved reports
-	// whether the query found the candidate resident (promoted).
-	QBSQuery(addr uint64, depth int, saved bool)
-	// TLHHint fires when a core-cache hit delivers a temporal locality
-	// hint to the LLC.
-	TLHHint(addr uint64)
-}
-
-// Event names one probe event kind, used as the key of count summaries.
-type Event uint8
-
-// The probe event kinds, in Probe method order.
-const (
-	EvInclusionVictim Event = iota
-	EvL2InclusionVictim
-	EvBackInvalidate
-	EvECIInvalidate
-	EvECIRescue
-	EvQBSQuery
-	EvQBSSave
-	EvTLHHint
-	numEvents
-)
-
-// Events lists every probe event kind in declaration order, for code
-// that snapshots or iterates Recorder counters (e.g. the audit mode's
-// counter cross-check).
-func Events() []Event {
-	evs := make([]Event, numEvents)
-	for i := range evs {
-		evs[i] = Event(i)
-	}
-	return evs
-}
-
-// String names the event as it appears in summaries and manifests.
-func (e Event) String() string {
-	switch e {
-	case EvInclusionVictim:
-		return "inclusion_victim"
-	case EvL2InclusionVictim:
-		return "l2_inclusion_victim"
-	case EvBackInvalidate:
-		return "back_invalidate"
-	case EvECIInvalidate:
-		return "eci_invalidate"
-	case EvECIRescue:
-		return "eci_rescue"
-	case EvQBSQuery:
-		return "qbs_query"
-	case EvQBSSave:
-		return "qbs_save"
-	case EvTLHHint:
-		return "tlh_hint"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(e))
-	}
-}
-
-// maxPendingRescues bounds the Recorder's map of ECI'd lines awaiting a
-// rescue hit so a run that early-invalidates millions of distinct
-// never-rescued lines cannot grow memory without limit.
-const maxPendingRescues = 1 << 16
-
-// Recorder is the standard Probe: per-event counters, a histogram of
-// QBS query-chain depths (one observation per completed victim
-// selection), and a histogram of ECI rescue distances (the number of
-// ECI early-invalidations that happened between a line's invalidation
-// and its rescuing LLC hit — a proxy for how promptly the paper's
-// "prompt re-reference" arrives).
-type Recorder struct {
-	counts   [numEvents]uint64
-	qbsDepth Histogram
-	rescue   Histogram
-
-	eciSeq  uint64            // ECI invalidations seen so far
-	pending map[uint64]uint64 // ECI'd line -> eciSeq at invalidation
-
-	openChain int // depth of a QBS query chain that ended on a save
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{pending: make(map[uint64]uint64)}
-}
-
-func (r *Recorder) count(e Event) {
-	r.counts[e]++
-	probeEvents.Add(1)
-}
-
-// Count returns how many times event e fired.
-func (r *Recorder) Count(e Event) uint64 { return r.counts[e] }
-
-// InclusionVictim implements Probe.
-func (r *Recorder) InclusionVictim(core int, addr uint64) { r.count(EvInclusionVictim) }
-
-// L2InclusionVictim implements Probe.
-func (r *Recorder) L2InclusionVictim(core int, addr uint64) { r.count(EvL2InclusionVictim) }
-
-// BackInvalidate implements Probe.
-func (r *Recorder) BackInvalidate(addr uint64) { r.count(EvBackInvalidate) }
-
-// ECIInvalidate implements Probe.
-func (r *Recorder) ECIInvalidate(addr uint64) {
-	r.count(EvECIInvalidate)
-	r.eciSeq++
-	if len(r.pending) < maxPendingRescues {
-		//tlavet:allow hotpath size-capped rescue-tracking map; Recorder-attached runs opt out of the zero-alloc contract
-		r.pending[addr] = r.eciSeq
-	}
-}
-
-// ECIRescue implements Probe.
-func (r *Recorder) ECIRescue(addr uint64) {
-	r.count(EvECIRescue)
-	if at, ok := r.pending[addr]; ok {
-		r.rescue.Observe(r.eciSeq - at)
-		delete(r.pending, addr)
-	}
-}
-
-// QBSQuery implements Probe. The depth histogram records one
-// observation per victim-selection chain — the number of queries that
-// eviction spent. An unsaved query ends its chain immediately; a chain
-// that ends on a save (query limit or replacement fixed point) is
-// closed when the next chain starts, or by Summary.
-func (r *Recorder) QBSQuery(addr uint64, depth int, saved bool) {
-	r.count(EvQBSQuery)
-	if depth == 1 && r.openChain > 0 {
-		r.qbsDepth.Observe(uint64(r.openChain))
-		r.openChain = 0
-	}
-	if saved {
-		r.count(EvQBSSave)
-		r.openChain = depth
-		return
-	}
-	r.qbsDepth.Observe(uint64(depth))
-	r.openChain = 0
-}
-
-// TLHHint implements Probe.
-func (r *Recorder) TLHHint(addr uint64) { r.count(EvTLHHint) }
-
-// Summary is the JSON-ready digest of one recorder, embedded into run
-// manifests by internal/runner.
+// Summary is the JSON-ready digest of one run's cache-hierarchy events,
+// embedded into run manifests by internal/runner and internal/service.
+// internal/sim derives it from the hierarchy's counters
+// (sim.MixResult.Telemetry).
 type Summary struct {
-	// Name identifies the run the recorder observed, e.g. "MIX_04/QBS".
+	// Name identifies the run the summary describes, e.g. "MIX_04/QBS".
 	Name string `json:"name,omitempty"`
 	// Events maps event names to fire counts; zero-count events are
 	// omitted.
@@ -205,29 +39,6 @@ type Summary struct {
 	// ECIRescueDistance summarises how many ECI invalidations separated
 	// each early-invalidation from its rescuing LLC hit.
 	ECIRescueDistance *HistogramSummary `json:"eci_rescue_distance,omitempty"`
-}
-
-// Summary digests the recorder's counters and histograms. It closes
-// any QBS query chain still open, so it is intended to be called once,
-// after the run the recorder observed has finished.
-func (r *Recorder) Summary() Summary {
-	if r.openChain > 0 {
-		r.qbsDepth.Observe(uint64(r.openChain))
-		r.openChain = 0
-	}
-	s := Summary{Events: make(map[string]uint64)}
-	for e := Event(0); e < numEvents; e++ {
-		if r.counts[e] > 0 {
-			s.Events[e.String()] = r.counts[e]
-		}
-	}
-	if h := r.qbsDepth.Summary(); h.Count > 0 {
-		s.QBSQueryDepth = &h
-	}
-	if h := r.rescue.Summary(); h.Count > 0 {
-		s.ECIRescueDistance = &h
-	}
-	return s
 }
 
 // Live introspection counters, published under /debug/vars by
@@ -265,8 +76,10 @@ func JobsCompleted() int64 { return jobsCompleted.Value() }
 // count across completed jobs.
 func InstructionsSimulated() int64 { return instructionsUp.Value() }
 
-// ProbeEvents returns the process-wide probe event count.
-func ProbeEvents() int64 { return probeEvents.Value() }
+// EventsSummarized adds one run's hierarchy event total to the
+// process-wide tla_probe_events counter; sim.MixResult.Telemetry calls
+// it once per summarized run.
+func EventsSummarized(n uint64) { probeEvents.Add(int64(n)) }
 
 // ServeDebug starts an HTTP server on addr exposing net/http/pprof
 // under /debug/pprof/ and the process expvars (including the tla_*

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -66,72 +65,6 @@ func TestHistogramQuantile(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %v < previous %v", q, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestRecorderCountsAndSummary(t *testing.T) {
-	r := NewRecorder()
-	r.InclusionVictim(0, 0x100)
-	r.InclusionVictim(1, 0x140)
-	r.L2InclusionVictim(0, 0x180)
-	r.BackInvalidate(0x100)
-	r.TLHHint(0x200)
-	if r.Count(EvInclusionVictim) != 2 || r.Count(EvBackInvalidate) != 1 {
-		t.Fatalf("counts = %d, %d", r.Count(EvInclusionVictim), r.Count(EvBackInvalidate))
-	}
-	s := r.Summary()
-	if s.Events["inclusion_victim"] != 2 || s.Events["tlh_hint"] != 1 {
-		t.Fatalf("summary events = %v", s.Events)
-	}
-	if _, ok := s.Events["qbs_query"]; ok {
-		t.Error("zero-count event present in summary")
-	}
-	if s.QBSQueryDepth != nil || s.ECIRescueDistance != nil {
-		t.Error("empty histograms present in summary")
-	}
-}
-
-func TestRecorderECIRescueDistance(t *testing.T) {
-	r := NewRecorder()
-	r.ECIInvalidate(0xA00) // seq 1
-	r.ECIInvalidate(0xB00) // seq 2
-	r.ECIInvalidate(0xC00) // seq 3
-	r.ECIRescue(0xA00)     // distance 3-1 = 2
-	r.ECIRescue(0xC00)     // distance 0
-	r.ECIRescue(0xD00)     // never invalidated: counted, not histogrammed
-	s := r.Summary()
-	if s.Events["eci_invalidate"] != 3 || s.Events["eci_rescue"] != 3 {
-		t.Fatalf("events = %v", s.Events)
-	}
-	h := s.ECIRescueDistance
-	if h == nil || h.Count != 2 || h.Sum != 2 || h.Max != 2 {
-		t.Fatalf("rescue distance = %+v", h)
-	}
-}
-
-func TestRecorderQBSChains(t *testing.T) {
-	r := NewRecorder()
-	// Chain 1: save at depth 1, save at depth 2, unsaved at depth 3.
-	r.QBSQuery(0x1, 1, true)
-	r.QBSQuery(0x2, 2, true)
-	r.QBSQuery(0x3, 3, false)
-	// Chain 2: single unsaved query.
-	r.QBSQuery(0x4, 1, false)
-	// Chain 3: ends on a save (query limit); closed by the next chain.
-	r.QBSQuery(0x5, 1, true)
-	r.QBSQuery(0x6, 2, true)
-	// Chain 4: open at Summary time; Summary closes it.
-	r.QBSQuery(0x7, 1, true)
-	s := r.Summary()
-	if s.Events["qbs_query"] != 7 || s.Events["qbs_save"] != 5 {
-		t.Fatalf("events = %v", s.Events)
-	}
-	h := s.QBSQueryDepth
-	if h == nil || h.Count != 4 {
-		t.Fatalf("depth histogram = %+v", h)
-	}
-	if h.Sum != 3+1+2+1 {
-		t.Errorf("depth sum = %d, want 7", h.Sum)
 	}
 }
 
@@ -249,19 +182,5 @@ func TestJobDoneAndServeDebug(t *testing.T) {
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
 		t.Errorf("/debug/pprof/ index unexpected: %.80s", body)
-	}
-}
-
-func TestEventString(t *testing.T) {
-	seen := map[string]bool{}
-	for e := Event(0); e < numEvents; e++ {
-		name := e.String()
-		if name == "" || strings.HasPrefix(name, "event(") || seen[name] {
-			t.Fatalf("event %d name %q", e, name)
-		}
-		seen[name] = true
-	}
-	if got := Event(200).String(); got != fmt.Sprintf("event(%d)", 200) {
-		t.Errorf("unknown event = %q", got)
 	}
 }
