@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -354,18 +355,15 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// WriteCSV writes the table as CSV (RFC-4180-enough for these values:
-// no cell contains commas or quotes).
+// WriteCSV writes the table as RFC 4180 CSV. A cell holding a comma,
+// a quote or a line break (table2's apps column, "bzi,wrf") is quoted;
+// every other cell is written as-is.
 func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }
 
 // WriteJSON writes the table as a single indented JSON object, for

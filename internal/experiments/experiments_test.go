@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -215,6 +216,35 @@ func TestTable2Static(t *testing.T) {
 	}
 	if len(tables) != 1 || len(tables[0].Rows) != 12 {
 		t.Fatalf("table2 shape wrong: %+v", tables)
+	}
+}
+
+// TestTable2CSVRoundTrip parses table2's CSV back: its apps cells
+// ("bzi,wrf") hold the delimiter, so they must come back as one field,
+// leaving every record as wide as the header.
+func TestTable2CSVRoundTrip(t *testing.T) {
+	tables, err := Table2(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tables[0].WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 13 {
+		t.Fatalf("%d records, want a header and 12 mixes", len(records))
+	}
+	for i, rec := range records {
+		if len(rec) != 3 {
+			t.Errorf("record %d has %d fields, want 3: %q", i, len(rec), rec)
+		}
+	}
+	if got := records[1][1]; got != "bzi,wrf" {
+		t.Errorf("MIX_00 apps = %q, want %q", got, "bzi,wrf")
 	}
 }
 

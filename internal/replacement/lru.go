@@ -123,10 +123,11 @@ func (p *LRUStack) moveTo(set, way, target int) {
 // Touch promotes way to MRU.
 func (p *LRUStack) Touch(set, way int) {
 	if p.packed != nil {
+		// No already-MRU early return: at cur = 0 the splice below
+		// rewrites the MRU nibble with the same way and leaves v
+		// unchanged, and a hit's stack position is too random for a
+		// branch on it to predict.
 		v := p.packed[set]
-		if v&0xF == uint64(way) {
-			return // already MRU: sequential fetch hits land here
-		}
 		cur := nibblePos(v, uint64(way))
 		low := v & (uint64(1)<<(4*cur) - 1)
 		p.packed[set] = v&^(uint64(1)<<(4*(cur+1))-1) | low<<4 | uint64(way)

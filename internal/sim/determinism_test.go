@@ -32,6 +32,12 @@ func runBatch(t *testing.T, procs int) ([]byte, runner.Manifest) {
 	for _, v := range variants {
 		cfg := quickConfig(2, 30_000)
 		cfg.Hierarchy.TLA = v.tla
+		// The budget crosses the pipeline threshold, so GOMAXPROCS 1
+		// runs the generators inline and GOMAXPROCS 8, with Ps to
+		// spare for three producers, on producers.
+		if cfg.Warmup+cfg.Instructions < pipelineMinBudget {
+			t.Fatalf("budget %d does not reach the pipeline threshold", cfg.Warmup+cfg.Instructions)
+		}
 		jobs = append(jobs, runner.Job[MixResult]{
 			Name: v.name,
 			Work: 2 * (cfg.Instructions + cfg.Warmup),
@@ -76,8 +82,9 @@ func normalizeManifest(m *runner.Manifest) {
 
 // TestDeterminismAcrossGOMAXPROCS is the regression gate for the
 // runner's core promise: simulation results are byte-identical no
-// matter how the scheduler interleaves the worker pool. Everything in
-// the manifest except environment and timing must match too.
+// matter how the scheduler interleaves the worker pool, and whether
+// the generators run inline (GOMAXPROCS 1) or on producers. Everything
+// in the manifest except environment and timing must match too.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the same batch twice")

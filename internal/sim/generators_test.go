@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"tlacache/internal/trace"
@@ -51,16 +53,30 @@ func TestRunGeneratorsBasics(t *testing.T) {
 	}
 }
 
+// countingGen counts its stream's Next calls.
+type countingGen struct {
+	trace.Generator
+	calls uint64
+}
+
+func (g *countingGen) Next(in *trace.Instr) {
+	g.calls++
+	g.Generator.Next(in)
+}
+
 func TestRunGeneratorsMatchesRunMixForSyntheticStreams(t *testing.T) {
 	// Feeding RunGenerators the exact generators RunMix would build
-	// must give identical results.
+	// must give identical results, whether RunMix calls its generators
+	// inline or runs them ahead on producers. The budget crosses
+	// pipelineMinBudget, so RunMix itself pipelines wherever a second
+	// P exists.
 	cfg := quickConfig(2, 25_000)
-	mix := workload.Mix{Name: "X", Apps: []string{"dea", "lib"}}
-	want, err := RunMix(cfg, mix)
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Warmup+cfg.Instructions < pipelineMinBudget {
+		t.Fatalf("budget %d does not reach the pipeline threshold", cfg.Warmup+cfg.Instructions)
 	}
+	mix := workload.Mix{Name: "X", Apps: []string{"dea", "lib"}}
 	var streams []trace.Generator
+	var counts []*countingGen
 	for i, app := range mix.Apps {
 		b, err := workload.ByName(app)
 		if err != nil {
@@ -70,14 +86,40 @@ func TestRunGeneratorsMatchesRunMixForSyntheticStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams = append(streams, g)
+		c := &countingGen{Generator: g}
+		streams, counts = append(streams, c), append(counts, c)
 	}
 	got, err := RunGenerators(cfg, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Throughput != want.Throughput || got.Traffic != want.Traffic {
-		t.Fatalf("RunGenerators diverged from RunMix: %.4f vs %.4f", got.Throughput, want.Throughput)
+	got.Mix = mix
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipe := range []bool{false, true} {
+		want, err := runMix(cfg, mix, pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) || got.TLA != want.TLA {
+			t.Fatalf("RunGenerators diverged from RunMix (pipelined %v):\n%s\n%s", pipe, gotJSON, wantJSON)
+		}
+	}
+	// RunGenerators stays synchronous: the stream of the core that
+	// reaches its budget last is called exactly once per instruction
+	// it executed, never ahead of the run.
+	slowest := counts[0].calls
+	for _, c := range counts[1:] {
+		slowest = min(slowest, c.calls)
+	}
+	if slowest != cfg.Warmup+cfg.Instructions {
+		t.Fatalf("slowest stream called %d times for a %d-instruction budget", slowest, cfg.Warmup+cfg.Instructions)
 	}
 }
 

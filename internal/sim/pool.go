@@ -28,21 +28,16 @@ type machineKey struct {
 }
 
 // machine bundles one run's reusable state: the hierarchy, the cores,
-// the per-core address-space wrappers, and the interleave scratch.
+// the per-core instruction feeds, and the interleave scratch.
 type machine struct {
 	key       machineKey
 	h         *hierarchy.Hierarchy
 	cores     []*cpu.Core
-	gens      []*offsetGen
+	feeds     []feed
 	committed []uint64
 	finished  []bool
 	ipcs      []float64
 	apps      []AppResult
-	// in is the run loop's instruction scratch. A machine field rather
-	// than a local: its address flows into the generator's interface
-	// call, so as a local it would escape and cost one heap allocation
-	// per run — on a pooled machine it is allocated once.
-	in trace.Instr
 }
 
 // maxFree bounds each free list so a sweep over many distinct machine
@@ -82,7 +77,7 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 		key:       key,
 		h:         h,
 		cores:     make([]*cpu.Core, n),
-		gens:      make([]*offsetGen, n),
+		feeds:     make([]feed, n),
 		committed: make([]uint64, n),
 		finished:  make([]bool, n),
 		ipcs:      make([]float64, n),
@@ -92,7 +87,7 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 		if m.cores[i], err = cpu.New(cc); err != nil {
 			return nil, err
 		}
-		m.gens[i] = &offsetGen{offset: uint64(i) * coreSpacing}
+		m.feeds[i].gen.offset = uint64(i) * coreSpacing
 	}
 	return m, nil
 }
@@ -104,8 +99,8 @@ func acquireMachine(hc hierarchy.Config, cc cpu.Config) (*machine, error) {
 // later run. Caller-owned references (generators, observers) are
 // dropped first so the pool never prolongs their lifetime.
 func releaseMachine(m *machine) {
-	for _, g := range m.gens {
-		g.inner = nil
+	for i := range m.feeds {
+		m.feeds[i].gen.inner = nil
 	}
 	m.h.SetDecisionTracer(nil)
 	machinePool.Lock()

@@ -50,7 +50,7 @@ func freshMachine(t *testing.T, cfg Config) *machine {
 	m := &machine{
 		h:         h,
 		cores:     make([]*cpu.Core, n),
-		gens:      make([]*offsetGen, n),
+		feeds:     make([]feed, n),
 		committed: make([]uint64, n),
 		finished:  make([]bool, n),
 		ipcs:      make([]float64, n),
@@ -60,7 +60,7 @@ func freshMachine(t *testing.T, cfg Config) *machine {
 		if m.cores[i], err = cpu.New(cfg.CPU); err != nil {
 			t.Fatal(err)
 		}
-		m.gens[i] = &offsetGen{offset: uint64(i) * coreSpacing}
+		m.feeds[i].gen.offset = uint64(i) * coreSpacing
 	}
 	return m
 }
@@ -82,7 +82,7 @@ func runOn(t *testing.T, cfg Config, m *machine) []byte {
 		}
 		streams[i] = g
 	}
-	if err := runMachine(cfg, m, streams, defaultEpoch); err != nil {
+	if err := runMachine(cfg, m, streams, defaultEpoch, false); err != nil {
 		t.Fatal(err)
 	}
 	out := struct {
@@ -191,7 +191,7 @@ func epochManifest(t *testing.T, epoch uint64) []byte {
 			t.Fatal(err)
 		}
 	}
-	res, err := runGenerators(cfg, streams, epoch)
+	res, err := runGenerators(cfg, streams, epoch, false)
 	if err != nil {
 		t.Fatal(err)
 	}

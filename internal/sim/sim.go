@@ -232,6 +232,14 @@ func (g *offsetGen) Next(in *trace.Instr) {
 // RunMix simulates mix on cfg's machine. The mix must supply exactly
 // one benchmark per configured core.
 func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
+	pipe := reserve(cfg, true)
+	defer release(pipe)
+	return runMix(cfg, mix, pipe)
+}
+
+// runMix is RunMix with the generator pipeline forced on or off, so
+// tests can compare the two without a shared knob.
+func runMix(cfg Config, mix workload.Mix, pipe bool) (MixResult, error) {
 	bs, err := mix.Benchmarks()
 	if err != nil {
 		return MixResult{}, err
@@ -252,7 +260,7 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 		}
 		synths[i], gens[i] = g, g
 	}
-	res, err := RunGenerators(cfg, gens)
+	res, err := runGenerators(cfg, gens, defaultEpoch, pipe)
 	for _, s := range synths {
 		releaseSynthetic(s)
 	}
@@ -266,19 +274,24 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 // RunGenerators simulates one instruction stream per core — any
 // trace.Generator, e.g. recorded trace replays — on cfg's machine.
 // Each stream is shifted into a private per-core address space first,
-// matching the paper's multi-programmed (no sharing) methodology.
+// matching the paper's multi-programmed (no sharing) methodology. The
+// streams are called synchronously, exactly once per executed
+// instruction and in execution order, so a caller may record that
+// order.
 func RunGenerators(cfg Config, streams []trace.Generator) (MixResult, error) {
-	return runGenerators(cfg, streams, defaultEpoch)
+	defer release(reserve(cfg, false))
+	return runGenerators(cfg, streams, defaultEpoch, false)
 }
 
 // runGenerators is RunGenerators with an explicit interleave burst
-// length, so tests can vary the burst without a shared knob.
-func runGenerators(cfg Config, streams []trace.Generator, epoch uint64) (MixResult, error) {
+// length, so tests can vary the burst without a shared knob, and the
+// generator pipeline on or off.
+func runGenerators(cfg Config, streams []trace.Generator, epoch uint64, pipe bool) (MixResult, error) {
 	m, err := checkedMachine(cfg, streams)
 	if err != nil {
 		return MixResult{}, err
 	}
-	if err := runMachine(cfg, m, streams, epoch); err != nil {
+	if err := runMachine(cfg, m, streams, epoch, pipe); err != nil {
 		return MixResult{}, err
 	}
 	n := cfg.Hierarchy.Cores
@@ -324,18 +337,23 @@ func checkedMachine(cfg Config, streams []trace.Generator) (*machine, error) {
 // runMachine executes one full run — warmup, counter reset, measured
 // window — on an acquired machine, interleaving the cores in bursts of
 // at most epoch instructions, leaving each core's frozen window in
-// m.apps and the global message accounting in m.h.Traffic. The caller
+// m.apps and the global message accounting in m.h.Traffic. With pipe
+// set, a producer goroutine runs the streams ahead; runMachine stops
+// it before it returns or panics, so the caller may release the
+// streams as soon as it regains control. The caller
 // owns the machine: it releases it after copying the results out on
 // success, and abandons it to the garbage collector on error.
-func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64) error {
+func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64, pipe bool) error {
 	h := m.h
 	n := cfg.Hierarchy.Cores
-	// Concrete *offsetGen slice: the per-instruction Next call in the
-	// run loop dispatches directly instead of through trace.Generator.
-	gens := m.gens
+	feeds := m.feeds
 	cores := m.cores
 	for i := 0; i < n; i++ {
-		gens[i].inner = streams[i]
+		feeds[i].gen.inner = streams[i]
+	}
+	if pipe {
+		p := startProducer(feeds)
+		defer p.stop(feeds)
 	}
 
 	committed := m.committed
@@ -361,7 +379,6 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64)
 	// budget keep executing (and keep competing for the LLC) until the
 	// slowest one arrives; onBudget fires once per core at the
 	// crossing.
-	in := &m.in
 	var total uint64
 	var auditor *hierarchy.Auditor // armed after warmup, when AuditEvery > 0
 	run := func(budget uint64, onBudget func(core int)) error {
@@ -432,21 +449,21 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64)
 					b = d
 				}
 			}
-			g, core := gens[c], cores[c]
+			f, core := &feeds[c], cores[c]
 			for j := uint64(0); j < b; j++ {
-				g.Next(in)
+				pc, op, addr := f.next()
 				now := core.Cycle()
 				fetchLat := hitLat
-				if !h.IFetchMemoHit(c, in.PC) {
-					fetchLat = h.AccessAt(c, hierarchy.IFetch, in.PC, now).Latency
+				if !h.IFetchMemoHit(c, pc) {
+					fetchLat = h.AccessAt(c, hierarchy.IFetch, pc, now).Latency
 				}
 				var memLat uint64
-				if in.Op != trace.OpNone {
+				if op != trace.OpNone {
 					kind := hierarchy.Load
-					if in.Op == trace.OpStore {
+					if op == trace.OpStore {
 						kind = hierarchy.Store
 					}
-					memLat = h.AccessAt(c, kind, in.Addr, now).Latency
+					memLat = h.AccessAt(c, kind, addr, now).Latency
 				}
 				core.Instr(fetchLat, memLat, hitLat)
 				committed[c]++
@@ -508,7 +525,7 @@ func runMachine(cfg Config, m *machine, streams []trace.Generator, epoch uint64)
 			// on an interval boundary.
 			sample(c)
 		}
-		m.apps[c] = snapshot(gens[c].Name(), cores[c], &h.Cores[c], cfg.Instructions)
+		m.apps[c] = snapshot(feeds[c].gen.Name(), cores[c], &h.Cores[c], cfg.Instructions)
 	})
 }
 
@@ -545,6 +562,14 @@ func snapshot(name string, core *cpu.Core, cs *hierarchy.CoreStats, instructions
 // Benchmark's profile is used as-is, so callers may run customised
 // variants without registering them.
 func RunIsolation(cfg Config, b workload.Benchmark) (AppResult, error) {
+	pipe := reserve(cfg, true)
+	defer release(pipe)
+	return runIsolation(cfg, b, pipe)
+}
+
+// runIsolation is RunIsolation with the generator pipeline forced on or
+// off.
+func runIsolation(cfg Config, b workload.Benchmark, pipe bool) (AppResult, error) {
 	iso := cfg
 	iso.Hierarchy.Cores = 1
 	g, err := acquireSynthetic(b.Profile, cfg.Seed)
@@ -561,7 +586,7 @@ func RunIsolation(cfg Config, b workload.Benchmark) (AppResult, error) {
 		releaseSynthetic(g)
 		return AppResult{}, err
 	}
-	if err := runMachine(iso, m, streams[:], defaultEpoch); err != nil {
+	if err := runMachine(iso, m, streams[:], defaultEpoch, pipe); err != nil {
 		releaseSynthetic(g)
 		return AppResult{}, err
 	}
