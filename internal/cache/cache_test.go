@@ -310,7 +310,8 @@ func (r *refCache) invalidate(addr uint64) bool {
 
 // TestCacheMatchesReferenceModel drives an LRU cache and the map-based
 // reference with identical random access streams; containment, victims,
-// and dirty bits must agree at every step.
+// and dirty bits must agree at every step, and CountValid must equal a
+// recount of the valid lines.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	f := func(ops []uint32) bool {
 		c := MustNew(Config{Name: "dut", Size: 64 * 4 * 8, Assoc: 4, LineSize: 64, Policy: replacement.LRU})
@@ -352,6 +353,12 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				if c.Contains(addr) != ref.contains(addr) {
 					return false
 				}
+			}
+			// The maintained valid-line count matches a recount.
+			n := 0
+			c.ForEachValid(func(Line) { n++ })
+			if c.CountValid() != n {
+				return false
 			}
 		}
 		return true

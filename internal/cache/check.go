@@ -8,12 +8,13 @@ import (
 
 // CheckConsistency verifies the cache's structural self-consistency:
 // every valid line is aligned and stored in its home set, no set holds
-// the same line twice, and — when the replacement policy implements
-// replacement.Checker — the per-set replacement metadata is
-// well-formed. The audit mode (internal/hierarchy's Auditor) calls
+// the same line twice, the valid-line count matches the lines held,
+// and — when the replacement policy implements replacement.Checker —
+// the per-set replacement metadata is well-formed. The audit mode (internal/hierarchy's Auditor) calls
 // this for every cache in the hierarchy; it is O(lines x assoc).
 func (c *Cache) CheckConsistency() error {
 	checker, _ := c.policy.(replacement.Checker)
+	held := 0
 	for s := 0; s < c.numSets; s++ {
 		base := s * c.assoc
 		for w := 0; w < c.assoc; w++ {
@@ -32,6 +33,7 @@ func (c *Cache) CheckConsistency() error {
 				}
 				continue
 			}
+			held++
 			addr := c.tags[base+w]
 			if addr != c.LineAddr(addr) {
 				return fmt.Errorf("cache %s: set %d way %d holds unaligned address %#x",
@@ -53,6 +55,9 @@ func (c *Cache) CheckConsistency() error {
 				return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 			}
 		}
+	}
+	if held != c.valid {
+		return fmt.Errorf("cache %s: holds %d lines but counts %d", c.cfg.Name, held, c.valid)
 	}
 	return nil
 }
