@@ -34,12 +34,13 @@
 //	tlavet -sarif ./...          # findings as SARIF 2.1.0 on stdout
 //	tlavet -out findings.json ./...  # text to stdout, JSON to a file
 //	tlavet -fail-stale-allows ./...  # unused //tlavet:allow directives fail
-//	tlavet -baseline tlavet.baseline.json ./...   # suppress accepted findings
-//	tlavet -baseline b.json -update-baseline ./...  # regenerate the baseline
-//	tlavet -baseline b.json -fail-stale ./...       # ratchet: stale entries fail
 //
-// Individual findings are suppressed in source with a justified
-// directive on or above the offending line:
+// keycover and resetcover share one field-coverage engine: the struct
+// index, the reasoned exemption directive, and the walk through nested
+// and embedded struct types are the same for both.
+//
+// The only way to suppress a finding is a justified directive in
+// source, on or above the offending line:
 //
 //	//tlavet:allow <check> <reason>
 //
@@ -47,9 +48,8 @@
 // suppresses anything is itself reported, so the set of suppressions
 // can only shrink.
 //
-// Exit status: 0 when clean, 1 when findings were reported (or, with
-// -fail-stale, when the baseline has stale entries), 2 on usage or load
-// errors.
+// Exit status: 0 when clean, 1 when findings were reported, 2 on usage
+// or load errors.
 package main
 
 import (
@@ -79,9 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checks := fs.String("checks", "all", "comma-separated checks to run")
 	list := fs.Bool("list", false, "list available checks and exit")
 	dir := fs.String("C", ".", "directory to locate the module from")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline file")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from current findings and exit clean")
-	failStale := fs.Bool("fail-stale", false, "exit 1 when the -baseline file has entries no finding matches (ratchet)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -104,10 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-18s [%s, %s] %s\n", a.Name, enabled, scope, a.Doc)
 		}
 		return 0
-	}
-	if (*updateBaseline || *failStale) && *baseline == "" {
-		fmt.Fprintln(stderr, "tlavet: -update-baseline and -fail-stale require -baseline")
-		return 2
 	}
 	if *jsonOut && *sarifOut {
 		fmt.Fprintln(stderr, "tlavet: -json and -sarif are mutually exclusive")
@@ -138,33 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := res.Diagnostics
 	if *failStaleAllows {
 		diags = mergeSorted(diags, res.StaleAllows)
-	}
-
-	staleFailure := false
-	if *baseline != "" {
-		if *updateBaseline {
-			if err := analysis.NewBaseline(diags).WriteFile(*baseline); err != nil {
-				fmt.Fprintln(stderr, "tlavet:", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "tlavet: baseline %s updated (%d finding(s) recorded)\n", *baseline, len(diags))
-			return 0
-		}
-		b, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "tlavet:", err)
-			return 2
-		}
-		fresh, stale := b.Filter(diags)
-		diags = fresh
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "tlavet: stale baseline entry: %s: %s: %s (x%d no longer found)\n",
-				e.File, e.Analyzer, e.Message, e.Count)
-		}
-		if len(stale) > 0 && *failStale {
-			fmt.Fprintf(stderr, "tlavet: %d stale baseline entr(y/ies); regenerate with -update-baseline to ratchet down\n", len(stale))
-			staleFailure = true
-		}
 	}
 
 	if *outFile != "" {
@@ -199,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tlavet: %d finding(s)\n", len(diags))
 		}
 	}
-	if len(diags) > 0 || staleFailure {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

@@ -169,56 +169,6 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-// TestRunBaselineRoundTrip exercises the full baseline lifecycle
-// against a module with known findings: -update-baseline records them
-// and exits 0; a run with -baseline suppresses exactly those findings;
-// and once the code is fixed, -fail-stale turns the now-unused entries
-// into a ratchet failure.
-func TestRunBaselineRoundTrip(t *testing.T) {
-	dir := writeBadModule(t)
-	basePath := filepath.Join(t.TempDir(), "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-baseline", basePath, "-update-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-update-baseline run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	b, err := analysis.LoadBaseline(basePath)
-	if err != nil {
-		t.Fatalf("reading written baseline: %v", err)
-	}
-	if len(b.Entries) != 2 {
-		t.Fatalf("baseline holds %d entries, want 2: %+v", len(b.Entries), b.Entries)
-	}
-
-	// With the baseline applied the same module is clean.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-
-	// Fix the module: the baseline entries go stale, and -fail-stale
-	// turns that into the ratchet failure CI uses.
-	fixed := "package widget\n\n// Calm is beyond reproach.\nfunc Calm() int { return 1 }\n"
-	widget := filepath.Join(dir, "internal", "widget", "widget.go")
-	if err := os.WriteFile(widget, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("stale baseline without -fail-stale run = %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry") {
-		t.Errorf("stderr %q does not report stale entries", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-baseline", basePath, "-fail-stale", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-fail-stale run = %d, want 1 (stderr: %s)", code, stderr.String())
-	}
-}
-
 // TestRunSARIF checks the -sarif rendering: a valid SARIF 2.1.0 log on
 // stdout with one result per finding and the rule table naming every
 // registered check.
@@ -347,21 +297,5 @@ func Explode(err error) {
 	// A filtered run cannot prove a directive unused: usage error.
 	if code := run([]string{"-C", dir, "-fail-stale-allows", "./internal/widget"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("filtered -fail-stale-allows run = %d, want 2", code)
-	}
-}
-
-// TestRunBaselineFlagValidation pins the usage errors of the baseline
-// flag family.
-func TestRunBaselineFlagValidation(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-update-baseline", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-update-baseline without -baseline run = %d, want 2", code)
-	}
-	if code := run([]string{"-fail-stale", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-fail-stale without -baseline run = %d, want 2", code)
-	}
-	dir := writeBadModule(t)
-	if code := run([]string{"-C", dir, "-baseline", filepath.Join(dir, "nosuch.json"), "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("missing baseline file run = %d, want 2", code)
 	}
 }

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -222,5 +225,44 @@ func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Analyzer: "panicmsg", Message: "m", Suggestion: "s"}
 	if got, want := d.String(), "a/b.go:3:7: panicmsg: m (s)"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestAllowDirectiveRequiresReason checks the suppression contract: a
+// directive suppresses its own line and the line below, only for the
+// named check, and only when a reason is given.
+func TestAllowDirectiveRequiresReason(t *testing.T) {
+	src := `package p
+
+//tlavet:allow hotpath bounded by construction
+var a = 1
+
+//tlavet:allow hotpath
+var b = 2
+
+var c = 3 //tlavet:allow lockdiscipline fixture says so
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "allow.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai := buildAllowIndex(fset, []*ast.File{f})
+	cases := []struct {
+		check string
+		line  int
+		want  bool
+	}{
+		{"hotpath", 4, true},         // line below a reasoned directive
+		{"hotpath", 3, true},         // the directive's own line
+		{"hotpath", 7, false},        // reasonless directive suppresses nothing
+		{"lockdiscipline", 9, true},  // trailing directive, same line
+		{"hotpath", 9, false},        // wrong check name
+		{"lockdiscipline", 10, true}, // line below a trailing directive is also covered
+	}
+	for _, c := range cases {
+		if got := ai.allowed(c.check, "allow.go", c.line); got != c.want {
+			t.Errorf("allowed(%s, line %d) = %v, want %v", c.check, c.line, got, c.want)
+		}
 	}
 }

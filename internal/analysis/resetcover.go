@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // ResetcoverAnalyzer is the static completeness proof behind state
@@ -34,7 +32,8 @@ import (
 //     method or a transitively-called helper with the same receiver
 //     type; matching is type-based, so aliasing works),
 //   - a delegated reset: calling another //tlavet:resetcover method on
-//     the field (h.llc.Reset(), p.LRUStack.ResetState()),
+//     the field (h.llc.Reset(), p.LRUStack.ResetState(), or a promoted
+//     p.ResetState() for an embedded LRUStack),
 //   - a `//tlavet:resetexempt <reason>` at the field declaration.
 //
 // Distinct findings separate a field that is never reset, an exemption
@@ -56,140 +55,6 @@ const (
 	directiveResetexempt = "//tlavet:resetexempt"
 )
 
-// scField is one struct field as seen at its declaration, for
-// resetcover. Embedded fields are included under their implicit name.
-type scField struct {
-	name      string
-	pos       token.Pos
-	exempt    bool
-	exemptPos token.Pos
-	// structKey is the tracked-type key of the field's (unwrapped)
-	// struct type when it is declared in this module, else "".
-	structKey string
-}
-
-// scType is one module-declared struct type, keyed like kcType by
-// "<pkg path>.<type name>".
-type scType struct {
-	key     string
-	display string
-	fields  []*scField
-}
-
-// collectCoverIndex indexes every struct type declared in the module,
-// reading the //tlavet:resetexempt directive at each declaration.
-// Reasonless exemptions are reported and exempt nothing.
-func collectCoverIndex(mp *ModulePass) map[string]*scType {
-	m := mp.Module
-	modulePkgs := modulePackageSet(m)
-	structs := make(map[string]*scType)
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					kt := &scType{
-						key:     pkg.Path + "." + ts.Name.Name,
-						display: pkg.Types.Name() + "." + ts.Name.Name,
-					}
-					for _, field := range st.Fields.List {
-						exempt, exemptPos := scFieldExemption(mp, field)
-						var structKey string
-						if t, ok := pkg.TypeOfExpr(field.Type); ok {
-							structKey = structKeyOf(t, modulePkgs)
-						}
-						if len(field.Names) == 0 {
-							// Embedded field: named after its (unwrapped) type.
-							name := embeddedFieldName(field.Type)
-							if name == "" {
-								continue
-							}
-							kt.fields = append(kt.fields, &scField{
-								name: name, pos: field.Type.Pos(),
-								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey,
-							})
-							continue
-						}
-						for _, name := range field.Names {
-							kt.fields = append(kt.fields, &scField{
-								name: name.Name, pos: name.Pos(),
-								exempt: exempt, exemptPos: exemptPos,
-								structKey: structKey,
-							})
-						}
-					}
-					structs[kt.key] = kt
-				}
-			}
-		}
-	}
-	return structs
-}
-
-// scFieldExemption scans a field's doc and line comments for a
-// `//tlavet:resetexempt <reason>` directive.
-func scFieldExemption(mp *ModulePass, field *ast.Field) (bool, token.Pos) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directiveResetexempt)
-			if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-				continue
-			}
-			if len(strings.Fields(rest)) == 0 {
-				mp.Report(field.Pos(), "resetexempt directive has no reason",
-					"write "+directiveResetexempt+" <reason> so exemptions stay auditable", nil)
-				continue
-			}
-			return true, c.Pos()
-		}
-	}
-	return false, token.NoPos
-}
-
-// embeddedFieldName derives the implicit field name of an embedded
-// type: the final identifier of the (possibly pointered, possibly
-// package-qualified) type expression.
-func embeddedFieldName(expr ast.Expr) string {
-	switch e := expr.(type) {
-	case *ast.StarExpr:
-		return embeddedFieldName(e.X)
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.Ident:
-		return e.Name
-	case *ast.IndexExpr:
-		return embeddedFieldName(e.X)
-	case *ast.IndexListExpr:
-		return embeddedFieldName(e.X)
-	}
-	return ""
-}
-
-// modulePackageSet returns the module's package paths as a set, the
-// form structKeyOf consumes.
-func modulePackageSet(m *Module) map[string]bool {
-	pkgs := make(map[string]bool, len(m.Pkgs))
-	for _, p := range m.Pkgs {
-		pkgs[p.Path] = true
-	}
-	return pkgs
-}
-
 // recvStructKey returns the tracked-type key of fn's receiver struct,
 // or "" when fn is not a method on a module-local named struct.
 func recvStructKey(fn *types.Func, modulePkgs map[string]bool) string {
@@ -200,88 +65,23 @@ func recvStructKey(fn *types.Func, modulePkgs map[string]bool) string {
 	return structKeyOf(sig.Recv().Type(), modulePkgs)
 }
 
-// rcWrites aggregates what one reset method (plus its same-receiver
-// helpers) does, keyed by tracked-type key then field name.
-type rcWrites struct {
-	full      map[string]map[string]token.Pos // complete overwrite of the field (or its elements)
-	partial   map[string]map[string]bool      // write through the field into deeper state
-	delegated map[string]map[string]bool      // annotated reset method called on the field
-	wholesale map[string]bool                 // whole value of the type overwritten
-}
-
-func newRCWrites() *rcWrites {
-	return &rcWrites{
-		full:      make(map[string]map[string]token.Pos),
-		partial:   make(map[string]map[string]bool),
-		delegated: make(map[string]map[string]bool),
-		wholesale: make(map[string]bool),
-	}
-}
-
-func (w *rcWrites) markFull(key, field string, pos token.Pos) {
-	if w.full[key] == nil {
-		w.full[key] = make(map[string]token.Pos)
-	}
-	if _, ok := w.full[key][field]; !ok {
-		w.full[key][field] = pos
-	}
-}
-
-func (w *rcWrites) markPartial(key, field string) {
-	if w.partial[key] == nil {
-		w.partial[key] = make(map[string]bool)
-	}
-	w.partial[key][field] = true
-}
-
-func (w *rcWrites) markDelegated(key, field string) {
-	if w.delegated[key] == nil {
-		w.delegated[key] = make(map[string]bool)
-	}
-	w.delegated[key][field] = true
-}
-
-// markWholesaleType marks key and, transitively, the struct types of
-// its fields as wholly overwritten: assigning a complete value resets
-// every field, including nested structs.
-func (w *rcWrites) markWholesaleType(structs map[string]*scType, key string) {
-	if key == "" || w.wholesale[key] {
-		return
-	}
-	w.wholesale[key] = true
-	kt, ok := structs[key]
-	if !ok {
-		return
-	}
-	for _, f := range kt.fields {
-		if f.structKey != "" {
-			w.markWholesaleType(structs, f.structKey)
-		}
-	}
-}
-
 func runResetcover(mp *ModulePass) {
-	m := mp.Module
-	modulePkgs := modulePackageSet(m)
-	structs := collectCoverIndex(mp)
-	g := buildCallGraph(m)
+	ix := newCoverIndex(mp, directiveResetexempt)
+	g := buildCallGraph(mp.Module)
 
-	roots := g.annotatedRoots(directiveResetcover)
-	if len(roots) == 0 {
-		return
-	}
 	// Dedupe (a method can be annotated directly and via an interface)
-	// and index the annotated set for delegation matching.
+	// and index the annotated set for delegation matching. The roots
+	// come sorted by name, which orders the checks below.
 	annotated := make(map[*types.Func]bool)
 	var methods []*types.Func
 	resetOf := make(map[string][]*types.Func) // receiver type key → annotated resets
-	for _, fn := range roots {
+	for _, fn := range g.annotatedRoots(directiveResetcover) {
 		if annotated[fn] {
 			continue
 		}
 		annotated[fn] = true
-		key := recvStructKey(fn, modulePkgs)
-		if key == "" || structs[key] == nil {
+		key := recvStructKey(fn, ix.modulePkgs)
+		if ix.structs[key] == nil {
 			pos := fn.Pos()
 			if n := g.nodes[fn]; n != nil {
 				pos = n.decl.Name.Pos()
@@ -293,31 +93,34 @@ func runResetcover(mp *ModulePass) {
 		methods = append(methods, fn)
 		resetOf[key] = append(resetOf[key], fn)
 	}
-	sort.Slice(methods, func(i, j int) bool {
-		a, b := displayName(methods[i]), displayName(methods[j])
-		if a != b {
-			return a < b
-		}
-		return methods[i].Pos() < methods[j].Pos()
-	})
-
 	for _, fn := range methods {
 		node := g.nodes[fn]
 		if node == nil {
 			continue // declared without a body (external linkname etc.)
 		}
-		checkResetCoverage(mp, g, structs, modulePkgs, annotated, resetOf, node,
-			recvStructKey(fn, modulePkgs))
+		checkResetCoverage(mp, g, ix, annotated, resetOf, node)
 	}
 }
 
+// resetWrites aggregates what one reset method (plus its same-receiver
+// helpers) does to module struct fields.
+type resetWrites struct {
+	written   map[fieldRef]bool // any write to or through the field, or a delegated reset
+	covered   map[fieldRef]bool // complete overwrite (of the field or its elements) or delegated reset
+	wholesale map[string]bool   // type key → a whole value of the type overwritten
+}
+
+// everyField follows every field: overwriting a whole value resets
+// everything beneath it.
+func everyField(*coverType, *coverField) bool { return true }
+
 // checkResetCoverage verifies one annotated reset method against its
 // receiver struct and everything tracked through it.
-func checkResetCoverage(mp *ModulePass, g *callGraph, structs map[string]*scType,
-	modulePkgs map[string]bool, annotated map[*types.Func]bool,
-	resetOf map[string][]*types.Func, root *cgNode, rootKey string) {
+func checkResetCoverage(mp *ModulePass, g *callGraph, ix *coverIndex,
+	annotated map[*types.Func]bool, resetOf map[string][]*types.Func, root *cgNode) {
 
 	resetName := displayName(root.fn)
+	rootKey := recvStructKey(root.fn, ix.modulePkgs)
 
 	// The body set: the annotated method plus every transitively-called
 	// helper method on the same receiver type (h.clearIFetchMemos(),
@@ -330,7 +133,7 @@ func checkResetCoverage(mp *ModulePass, g *callGraph, structs map[string]*scType
 			if cn == nil || seen[cn] {
 				continue
 			}
-			if recvStructKey(cn.fn, modulePkgs) != rootKey {
+			if recvStructKey(cn.fn, ix.modulePkgs) != rootKey {
 				continue
 			}
 			seen[cn] = true
@@ -338,61 +141,67 @@ func checkResetCoverage(mp *ModulePass, g *callGraph, structs map[string]*scType
 		}
 	}
 
-	w := newRCWrites()
+	w := &resetWrites{
+		written:   make(map[fieldRef]bool),
+		covered:   make(map[fieldRef]bool),
+		wholesale: make(map[string]bool),
+	}
 	for _, n := range body {
-		scanResetBody(n.pkg, n.decl, modulePkgs, annotated, w, structs, g)
+		scanResetBody(n.pkg, n.decl, ix, annotated, w, g)
+	}
+	covered := func(ct *coverType, f *coverField) bool {
+		return w.wholesale[ct.key] || w.covered[fieldRef{ct.key, f.name}]
 	}
 
-	// Expand the tracked set and judge each field. trackedVia carries
-	// the declaration chain from the receiver down to each tracked type.
-	type item struct {
-		key string
-		via []string
-	}
-	tracked := map[string]bool{}
-	queue := []item{{key: rootKey, via: []string{structs[rootKey].display}}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if tracked[it.key] {
-			continue
-		}
-		tracked[it.key] = true
-		kt := structs[it.key]
-		for _, f := range kt.fields {
-			display := kt.display + "." + f.name
-			declChain := append(append([]string(nil), it.via...), display)
-			_, hasFull := w.full[it.key][f.name]
-			anyWrite := hasFull || w.partial[it.key][f.name] || w.delegated[it.key][f.name]
-			if f.exempt {
-				if anyWrite {
+	// A field's struct type is tracked member-wise when nothing resets
+	// the field as a whole and its type has no annotated reset of its own.
+	reached := ix.reach([]string{rootKey}, func(ct *coverType, f *coverField) bool {
+		return !f.exempt && !covered(ct, f) && len(resetOf[f.structKey]) == 0
+	})
+	for _, rt := range reached {
+		for _, f := range rt.fields {
+			display := rt.display + "." + f.name
+			declChain := append(append([]string(nil), rt.via...), display)
+			switch helpers := resetOf[f.structKey]; {
+			case f.exempt:
+				if w.written[fieldRef{rt.key, f.name}] {
 					mp.Report(f.pos,
 						"stale //tlavet:resetexempt: field "+display+" IS reset by "+resetName,
 						"drop the exemption or stop resetting the field", declChain)
 				}
-				continue
+			case covered(rt.coverType, f):
+			case len(helpers) > 0:
+				mp.Report(f.pos,
+					"field "+display+" has reset method "+displayName(helpers[0])+
+						" that "+resetName+" never invokes on it",
+					"call "+displayName(helpers[0])+" on the field or annotate //tlavet:resetexempt <reason>",
+					declChain)
+			case ix.structs[f.structKey] != nil:
+				// Member-wise reset: the field's struct type is reached, and
+				// its own fields are judged individually.
+			default:
+				mp.Report(f.pos,
+					"field "+display+" is never reset by "+resetName+" and has no //tlavet:resetexempt",
+					"reset the field in "+resetName+" or annotate //tlavet:resetexempt <reason>",
+					declChain)
 			}
-			if w.wholesale[it.key] || w.delegated[it.key][f.name] || hasFull {
-				continue
-			}
-			if f.structKey != "" && structs[f.structKey] != nil {
-				if helpers := resetOf[f.structKey]; len(helpers) > 0 {
-					mp.Report(f.pos,
-						"field "+display+" has reset method "+displayName(helpers[0])+
-							" that "+resetName+" never invokes on it",
-						"call "+displayName(helpers[0])+" on the field or annotate //tlavet:resetexempt <reason>",
-						declChain)
-					continue
-				}
-				// Member-wise reset: track the field's struct type; its own
-				// fields are judged individually below.
-				queue = append(queue, item{key: f.structKey, via: declChain})
-				continue
-			}
-			mp.Report(f.pos,
-				"field "+display+" is never reset by "+resetName+" and has no //tlavet:resetexempt",
-				"reset the field in "+resetName+" or annotate //tlavet:resetexempt <reason>",
-				declChain)
+		}
+	}
+}
+
+// stripAccess removes parentheses, indexing and dereferences, which do
+// not change which field an expression reaches.
+func stripAccess(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return e
 		}
 	}
 }
@@ -401,46 +210,34 @@ func checkResetCoverage(mp *ModulePass, g *callGraph, structs map[string]*scType
 // reset call in one body of the reset set. Matching is type-based: any
 // lvalue whose base chain selects a field of a module struct counts for
 // that (type, field) pair regardless of how the value was reached.
-func scanResetBody(pkg *Package, decl *ast.FuncDecl, modulePkgs map[string]bool,
-	annotated map[*types.Func]bool, w *rcWrites, structs map[string]*scType, g *callGraph) {
+func scanResetBody(pkg *Package, decl *ast.FuncDecl, ix *coverIndex,
+	annotated map[*types.Func]bool, w *resetWrites, g *callGraph) {
 
-	recordLValue := func(expr ast.Expr) {
-		orig := expr
+	recordLValue := func(lhs ast.Expr) {
+		// Only the outermost selector is overwritten completely; every
+		// field it is reached through is written partially.
 		full := true
-		for {
-			switch e := expr.(type) {
-			case *ast.ParenExpr:
-				expr = e.X
-			case *ast.IndexExpr:
-				expr = e.X
-			case *ast.StarExpr:
-				expr = e.X
-			case *ast.SelectorExpr:
-				if t, ok := pkg.TypeOfExpr(e.X); ok {
-					if key := structKeyOf(t, modulePkgs); key != "" {
-						if full {
-							w.markFull(key, e.Sel.Name, e.Sel.Pos())
-							// A complete overwrite of a struct-typed field
-							// resets everything beneath it.
-							if vt, ok := pkg.TypeOfExpr(e); ok {
-								w.markWholesaleType(structs, structKeyOf(vt, modulePkgs))
-							}
-						} else {
-							w.markPartial(key, e.Sel.Name)
-						}
-					}
-				}
-				full = false
-				expr = e.X
-			default:
-				// `*s = T{}`: a dereferencing overwrite of the whole value.
-				if _, deref := orig.(*ast.StarExpr); deref && full {
-					if t, ok := pkg.TypeOfExpr(orig); ok {
-						w.markWholesaleType(structs, structKeyOf(t, modulePkgs))
-					}
-				}
-				return
+		for e := stripAccess(lhs); ; {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				break
 			}
+			path := ix.selected(pkg, sel)
+			for i, ref := range path {
+				w.written[ref] = true
+				if full && i == len(path)-1 {
+					w.covered[ref] = true
+					// A complete overwrite of a struct-typed field resets
+					// everything beneath it.
+					ix.markWholesale(w.wholesale, ix.exprKey(pkg, sel), everyField)
+				}
+			}
+			full = false
+			e = stripAccess(sel.X)
+		}
+		// `*s = T{}`: a dereferencing overwrite of the whole value.
+		if _, deref := lhs.(*ast.StarExpr); deref && full {
+			ix.markWholesale(w.wholesale, ix.exprKey(pkg, lhs), everyField)
 		}
 	}
 
@@ -477,28 +274,17 @@ func scanResetBody(pkg *Package, decl *ast.FuncDecl, modulePkgs map[string]bool,
 				return true
 			}
 			// The call resets its receiver: find the field it was reached
-			// through (h.llc.Reset() resets field llc; indexing and
-			// dereferencing do not change which field is reset).
-			recv := ast.Unparen(sel.X)
-			for {
-				switch e := recv.(type) {
-				case *ast.ParenExpr:
-					recv = e.X
-					continue
-				case *ast.IndexExpr:
-					recv = e.X
-					continue
-				case *ast.StarExpr:
-					recv = e.X
-					continue
-				case *ast.SelectorExpr:
-					if t, ok := pkg.TypeOfExpr(e.X); ok {
-						if key := structKeyOf(t, modulePkgs); key != "" {
-							w.markDelegated(key, e.Sel.Name)
-						}
-					}
-				}
-				break
+			// through (h.llc.Reset() resets field llc, a promoted
+			// p.ResetState() the embedded field it comes from; indexing
+			// and dereferencing do not change which field is reset).
+			path := ix.selected(pkg, sel)
+			if recv, ok := stripAccess(sel.X).(*ast.SelectorExpr); ok && len(path) == 0 {
+				path = ix.selected(pkg, recv)
+			}
+			if len(path) > 0 {
+				field := path[len(path)-1]
+				w.written[field] = true
+				w.covered[field] = true
 			}
 		}
 		return true

@@ -92,3 +92,35 @@ func badTarget() {} // want `keycover: no module package named missing \(in miss
 //
 //tlavet:keycover
 func emptyTarget() {} // want `keycover directive names no type`
+
+// Inner is embedded in Outer: its fields are tracked like any nested
+// struct's, so an encoder that skips the embedded value is reported.
+type Inner struct {
+	A int // want `field keycover\.Inner\.A is never written by keycover\.encodeOuter and has no //tlavet:keyexempt \(via keycover\.encodeOuter\)`
+	B int // want `field keycover\.Inner\.B is never written by keycover\.encodeOuter and has no //tlavet:keyexempt \(via keycover\.encodeOuter\)`
+}
+
+// Outer embeds Inner; encodeOuter writes only C.
+type Outer struct {
+	Inner // want `field keycover\.Outer\.Inner is never written by keycover\.encodeOuter and has no //tlavet:keyexempt \(via keycover\.encodeOuter\)`
+	C     int
+}
+
+//tlavet:keycover Outer
+func encodeOuter(o Outer) string { return fmt.Sprint(o.C) }
+
+// Base is embedded in Derived and read through promotion: d.X covers
+// the fields the selector passes through, Derived.Base and Base.X.
+type Base struct {
+	X int
+	Y int
+}
+
+// Derived embeds Base; encodeDerived covers every field.
+type Derived struct {
+	Base
+	Z int
+}
+
+//tlavet:keycover Derived
+func encodeDerived(d Derived) string { return fmt.Sprint(d.X, d.Y, d.Z) }

@@ -83,3 +83,40 @@ func (f *Flat) Reset() {
 //
 //tlavet:resetcover
 func Standalone() {} // want `resetcover on resetcover.Standalone, which is not a method on a module struct`
+
+// Counters is embedded in Pool and reset through promotion.
+type Counters struct {
+	hits   uint64
+	misses uint64
+}
+
+// Pool embeds Counters.
+type Pool struct {
+	Counters
+	free int
+}
+
+// Reset writes the promoted fields: p.hits writes Pool.Counters
+// partially and Counters.hits completely, so nothing is reported.
+//
+//tlavet:resetcover
+func (p *Pool) Reset() {
+	p.hits = 0
+	p.misses = 0
+	p.free = 0
+}
+
+// Shelf embeds a *Table: calling the promoted ResetState delegates the
+// reset of the embedded field.
+type Shelf struct {
+	*Table
+	n int
+}
+
+// Reset delegates through the promoted method.
+//
+//tlavet:resetcover
+func (s *Shelf) Reset() {
+	s.ResetState()
+	s.n = 0
+}
